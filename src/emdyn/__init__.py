@@ -23,7 +23,8 @@ from .liouville import (ControlPulse, DissipativeCoupling, MasterEquation,
                         reduced_s1_generator, reduced_s2_generator)
 from .emergent import (UnitaryMixture, apply_mixture, equivalence_gap,
                        fit_power_law, gamma_scaling_fit,
-                       nonreciprocity_report, strong_damping_map)
+                       nonreciprocity_report, scaling_exponent,
+                       strong_damping_map)
 from .control import (LieBasis, controllability_delta,
                       dissipation_induced_drift, is_fully_controllable,
                       lie_closure)

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import opcore
 from .errors import RequiresNoPulse, ValidationError
-from .liouville import (ControlPulse, DissipativeCoupling,
-                        build_full_generator, propagate,
+from .liouville import (ControlPulse, DissipativeCoupling, propagate,
                         propagate_controlled)
 from .opcore import (dissipator_superop, herm_eig, partial_trace, tensor)
 
@@ -74,8 +73,7 @@ def drift_coefficient(task: GateTask) -> float:
     """``lam_a (g + eta sin phi)`` for the task's chosen eigenspace of A."""
     c = task.coupling
     dec = herm_eig(c.A)
-    lam = float(dec.eigenvalues[task.a_eigenindex])
-    return lam * (c.g + c.eta * np.sin(c.phi))
+    return c.drift(float(dec.eigenvalues[task.a_eigenindex]))
 
 
 def s1_eigenstate(c: DissipativeCoupling, a_eigenindex: int = -1) -> np.ndarray:
@@ -110,8 +108,7 @@ def make_gate_task(coupling: DissipativeCoupling, psi0: np.ndarray, t: float,
     if t < 0:
         raise ValidationError("duration must be >= 0")
     dec = herm_eig(coupling.A)
-    lam = float(dec.eigenvalues[a_eigenindex])
-    coeff = lam * (coupling.g + coupling.eta * np.sin(coupling.phi))
+    coeff = coupling.drift(float(dec.eigenvalues[a_eigenindex]))
     if pulse is None:
         u = opcore.expm(coupling.B, -1j * t * coeff)
     else:
@@ -213,8 +210,7 @@ def empirical_error(task: GateTask) -> float:
     rho0 = tensor([np.outer(a_vec, a_vec.conj()),
                    np.outer(task.psi0, task.psi0.conj())])
     if task.pulse is None:
-        gen = build_full_generator(c, include_coherent=True)
-        rho = propagate(gen, rho0, task.t)
+        rho = propagate(c, rho0, task.t)
     else:
         rho = propagate_controlled(c, task.pulse, rho0)
     rho2 = partial_trace(rho, (c.d1, c.d2), [1])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -24,8 +25,9 @@ import numpy as np
 import scipy
 
 from . import __version__, bounds, circuit, control, emergent, liouville
-from .errors import EmdynError, NumericalError, ParseError, ValidationError
-from .scenario import VALID_TASKS, Scenario, parse_scenario
+from .errors import (DegenerateFit, EmdynError, NumericalError, ParseError,
+                     ValidationError)
+from .scenario import VALID_TASKS, Scenario, check_margin, parse_scenario
 
 __all__ = ["main", "run"]
 
@@ -46,7 +48,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -76,11 +78,10 @@ def _run_simulate(scenario: Scenario, rng, margin):
     rho1 = scenario.initial_state("rho1", c.d1)
     rho2 = scenario.initial_state("rho2", c.d2)
     rho0 = np.kron(rho1, rho2)
-    gen = liouville.build_full_generator(c)
     dims = (c.d1, c.d2)
     rows = []
     for t in _times(scenario):
-        rho = liouville.propagate(gen, rho0, t)
+        rho = liouville.propagate(c, rho0, t)
         p1, p2 = _marginal_purities(rho, dims)
         purity = float(np.real(np.trace(rho @ rho)))
         rows.append([t, purity, p1, p2])
@@ -104,19 +105,16 @@ def _run_equivalence(scenario: Scenario, rng, margin):
     rows = []
     exponents = {}
     for t in times:
-        gaps = []
-        for g in gammas:
-            ci = liouville.DissipativeCoupling(
-                A=c.A, B=c.B, gamma=g, eta=c.eta, phi=c.phi, g=c.g)
-            gaps.append(emergent.equivalence_gap(ci, rho1, rho2, t))
-        if len(gammas) >= 4 and gammas[-1] >= 100 * gammas[0]:
-            exponent, _ = emergent.fit_power_law(np.array(gammas),
-                                                 np.array(gaps))
-        else:
-            exponent = float("nan")
+        gaps = [emergent.equivalence_gap(dataclasses.replace(c, gamma=g),
+                                         rho1, rho2, t) for g in gammas]
+        try:
+            exponent = emergent.scaling_exponent(gammas, gaps)
+        except (ValidationError, DegenerateFit):
+            exponent = None   # report.json: null; results.csv: nan
         exponents[_fmt(t)] = exponent
         for g, gap in zip(gammas, gaps):
-            rows.append([g, t, gap, exponent])
+            rows.append([g, t, gap, float("nan") if exponent is None
+                         else exponent])
     report = {
         "task": "equivalence",
         "gammas": gammas,
@@ -255,12 +253,13 @@ _RUNNERS = {
 def run(scenario: Scenario, out_dir, seed: int | None = None,
         margin: float | None = None, scenario_bytes: bytes | None = None) -> int:
     """Execute a parsed scenario and write artifacts into ``out_dir``."""
+    if margin is None:
+        margin = float(scenario.margin) if scenario.margin is not None else 100.0
+    margin = check_margin(margin)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if seed is None:
         seed = scenario.seed
-    if margin is None:
-        margin = float(scenario.margin) if scenario.margin is not None else 100.0
     rng = np.random.default_rng(seed)
     header, rows, report = _RUNNERS[scenario.task](scenario, rng, margin)
     report["name"] = scenario.name

@@ -110,7 +110,7 @@ def dissipation_induced_drift(c: DissipativeCoupling, lambda_a: float) -> np.nda
     ``lambda_a`` is the eigenvalue of ``A`` the first subsystem is prepared
     in; together with the controls this drift decides controllability.
     """
-    return lambda_a * (c.g + c.eta * np.sin(c.phi)) * c.B
+    return c.drift(lambda_a) * c.B
 
 
 def controllability_delta(c: DissipativeCoupling, lambda_a: float,

@@ -12,13 +12,13 @@ import numpy as np
 
 from . import opcore
 from .errors import DegenerateFit, DimMismatch, ValidationError
-from .liouville import DissipativeCoupling, build_full_generator, propagate
+from .liouville import DissipativeCoupling, propagate
 from .opcore import (herm_eig, partial_trace, tensor, trace_distance)
 
 __all__ = [
     "UnitaryMixture", "strong_damping_map", "apply_mixture",
     "equivalence_gap", "gamma_scaling_fit", "fit_power_law",
-    "nonreciprocity_report",
+    "scaling_exponent", "nonreciprocity_report",
 ]
 
 
@@ -61,9 +61,8 @@ def strong_damping_map(c: DissipativeCoupling, rho1_init: np.ndarray,
         raise DimMismatch(
             f"rho1 dim {rho1.shape[0]} != S1 dim {c.d1}")
     dec = herm_eig(c.A)
-    coeff = c.g + c.eta * np.sin(c.phi)
     probs = np.array([np.real(np.trace(p @ rho1)) for p in dec.projectors])
-    unitaries = tuple(opcore.expm(c.B, -1j * t * lam * coeff)
+    unitaries = tuple(opcore.expm(c.B, -1j * t * c.drift(lam))
                       for lam in dec.eigenvalues)
     return UnitaryMixture(probs, unitaries, dec.eigenvalues.copy())
 
@@ -83,27 +82,22 @@ def apply_mixture(m: UnitaryMixture, rho2: np.ndarray) -> np.ndarray:
 
 def equivalence_gap(c: DissipativeCoupling, rho1: np.ndarray,
                     rho2: np.ndarray, t: float) -> float:
-    """Trace distance between the dissipative and coherent S2 marginals.
+    """Trace distance between the exact S2 marginal and the emergent mixture.
 
-    Dissipative side: full propagation of ``rho1 ⊗ rho2`` under ``D[L]``
-    alone (``g`` forced to zero).  Coherent side: unitary evolution under
-    ``H = eta sin(phi) A ⊗ B``, which at ``phi = pi/2`` is the plain
-    ``eta A1 B2`` exchange Hamiltonian.  Both marginals are taken on S2.
-    The gap closes like ``1/gamma`` as the damping grows.
+    Exact side: full propagation of ``rho1 ⊗ rho2`` under ``D[L]`` alone
+    (``g`` forced to zero), by :func:`propagate`'s closed form.  Emergent
+    side: the unitary mixture of :func:`strong_damping_map` applied to
+    ``rho2``.  That is exactly the S2 marginal of the coherent evolution
+    under ``H = eta sin(phi) A ⊗ B`` (at ``phi = pi/2`` the plain
+    ``eta A1 B2`` exchange), since ``A1`` and ``H`` commute.  The gap
+    closes like ``1/gamma`` as the damping grows.
     """
     rho1 = opcore.check_density(rho1, name="rho1")
     rho2 = opcore.check_density(rho2, name="rho2")
     c0 = dataclasses.replace(c, g=0.0)
-    rho0 = tensor([rho1, rho2])
-    dims = (c.d1, c.d2)
-
-    rho_diss = propagate(build_full_generator(c0, include_coherent=False),
-                         rho0, t)
-    s2_diss = partial_trace(rho_diss, dims, [1])
-
-    h = c.eta * np.sin(c.phi) * tensor([c.A, c.B])
-    u = opcore.expm(h, -1j * t)
-    s2_coh = partial_trace(u @ rho0 @ u.conj().T, dims, [1])
+    rho_diss = propagate(c0, tensor([rho1, rho2]), t)
+    s2_diss = partial_trace(rho_diss, (c.d1, c.d2), [1])
+    s2_coh = apply_mixture(strong_damping_map(c0, rho1, t), rho2)
     return trace_distance(s2_diss, s2_coh)
 
 
@@ -130,10 +124,7 @@ def gamma_scaling_fit(c_template: DissipativeCoupling, gammas, t: float,
     to −1.
     """
     gammas = np.asarray(sorted(float(g) for g in gammas))
-    if len(gammas) < 4:
-        raise ValidationError("need >= 4 gamma values for a scaling fit")
-    if gammas[-1] < 100 * gammas[0]:
-        raise ValidationError("gamma values must span >= 2 decades")
+    _check_sweep(gammas)
     if rho1 is None:
         rho1 = np.zeros((c_template.d1, c_template.d1), dtype=complex)
         rho1[0, 0] = 1.0
@@ -143,15 +134,36 @@ def gamma_scaling_fit(c_template: DissipativeCoupling, gammas, t: float,
     gaps = np.array([
         equivalence_gap(dataclasses.replace(c_template, gamma=g), rho1, rho2, t)
         for g in gammas])
+    return scaling_exponent(gammas, gaps), gaps
+
+
+def _check_sweep(gammas: np.ndarray) -> None:
+    if len(gammas) < 4:
+        raise ValidationError("need >= 4 gamma values for a scaling fit")
+    if gammas.max() < 100 * gammas.min():
+        raise ValidationError("gamma values must span >= 2 decades")
+
+
+def scaling_exponent(gammas, gaps) -> float:
+    """Power-law exponent of ``gaps`` against ``gammas``, where one exists.
+
+    The fit needs at least four gamma values spanning two decades
+    (:class:`ValidationError` otherwise) and no gap below 1e-14
+    (:class:`DegenerateFit` otherwise).  Gaps that do not vary give
+    exponent 0 with a warning.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    gaps = np.asarray(gaps, dtype=float)
+    _check_sweep(gammas)
     if np.any(gaps < 1e-14):
         raise DegenerateFit(
             f"gap underflow: min gap {gaps.min():.3e} below 1e-14")
     if gaps.max() == gaps.min():
         warnings.warn("gaps do not vary across the sweep; exponent 0 is "
                       "an anomaly, not a scaling law", stacklevel=2)
-        return 0.0, gaps
+        return 0.0
     exponent, _ = fit_power_law(gammas, gaps)
-    return exponent, gaps
+    return exponent
 
 
 def nonreciprocity_report(c: DissipativeCoupling, rho0: np.ndarray,
@@ -166,14 +178,11 @@ def nonreciprocity_report(c: DissipativeCoupling, rho0: np.ndarray,
     rho0 = opcore.check_density(rho0, name="rho0")
     dims = (c.d1, c.d2)
     dec_a, dec_b = herm_eig(c.A), herm_eig(c.B)
-    s2_coeffs = [float(lam * (c.g + c.eta * np.sin(c.phi)))
-                 for lam in dec_a.eigenvalues]
-    s1_coeffs = [float(lam * (c.g - c.eta * np.sin(c.phi)))
-                 for lam in dec_b.eigenvalues]
+    s2_coeffs = [float(c.drift(lam)) for lam in dec_a.eigenvalues]
+    s1_coeffs = [float(c.drift(lam, on=1)) for lam in dec_b.eigenvalues]
 
-    rho_full = propagate(build_full_generator(c), rho0, t)
-    c_ref = dataclasses.replace(c, eta=0.0)
-    rho_ref = propagate(build_full_generator(c_ref), rho0, t)
+    rho_full = propagate(c, rho0, t)
+    rho_ref = propagate(dataclasses.replace(c, eta=0.0), rho0, t)
 
     return {
         "s1_drift_coefficients": s1_coeffs,

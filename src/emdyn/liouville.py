@@ -104,6 +104,18 @@ class DissipativeCoupling:
         """``g * A1 B2`` (the coherent two-body interaction)."""
         return self.g * (self.a1() @ self.b2())
 
+    def drift(self, lam, on: int = 2):
+        """Drift ``lam (g ± eta sin phi)`` of a reduced one-sided generator.
+
+        ``on=2`` gives the S2 drift for S1 in an eigenspace of ``A`` with
+        eigenvalue ``lam`` (``+``); ``on=1`` gives the S1 drift for S2 in an
+        eigenspace of ``B`` (``−``).  ``lam`` may be an array.
+        """
+        if on not in (1, 2):
+            raise ValidationError(f"subsystem must be 1 or 2, got {on}")
+        sign = 1.0 if on == 2 else -1.0
+        return lam * (self.g + sign * self.eta * np.sin(self.phi))
+
 
 @dataclass(frozen=True)
 class ControlPulse:
@@ -241,10 +253,8 @@ def reduced_s2_generator(c: DissipativeCoupling, j: int) -> tuple[float, float]:
     if not (0 <= j < len(dec)):
         raise BadEigenindex(
             f"eigenindex {j} out of range for {len(dec)} merged eigenvalues")
-    lam = float(dec.eigenvalues[j])
-    drift = lam * (c.g + c.eta * np.sin(c.phi))
     rate = 0.0 if c.eta == 0 else c.eta ** 2 / c.gamma
-    return drift, rate
+    return c.drift(float(dec.eigenvalues[j])), rate
 
 
 def reduced_s1_generator(c: DissipativeCoupling, j: int) -> tuple[float, float]:
@@ -258,9 +268,7 @@ def reduced_s1_generator(c: DissipativeCoupling, j: int) -> tuple[float, float]:
     if not (0 <= j < len(dec)):
         raise BadEigenindex(
             f"eigenindex {j} out of range for {len(dec)} merged eigenvalues")
-    lam = float(dec.eigenvalues[j])
-    drift = lam * (c.g - c.eta * np.sin(c.phi))
-    return drift, c.gamma
+    return c.drift(float(dec.eigenvalues[j]), on=1), c.gamma
 
 
 def cascaded_generator(c: DissipativeCoupling) -> np.ndarray:
@@ -283,8 +291,39 @@ def cascaded_generator(c: DissipativeCoupling) -> np.ndarray:
 # propagation
 # --------------------------------------------------------------------------
 
-def propagate(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve ``rho0`` under ``exp(gen * t)`` and re-validate the result.
+def _evolve_coupling(c: DissipativeCoupling, rho0: np.ndarray,
+                     t: float) -> np.ndarray:
+    """Closed-form ``exp(t G) rho0`` for the coupling's generator ``G``.
+
+    ``L`` and ``g A1 B2`` are both diagonal in the product eigenbasis of
+    ``A`` and ``B``, with eigenvalues ``l_k`` and ``h_k``.  There each entry
+    evolves on its own: ``rho_kl(t) = exp(t (l_k l_l* − ½|l_k|² − ½|l_l|²
+    − i (h_k − h_l))) rho_kl(0)``.  The real part of the rate is written as
+    ``−½|l_k − l_l|²`` so that it does not cancel at large gamma.
+    """
+    a, ua = np.linalg.eigh(c.A)
+    b, ub = np.linalg.eigh(c.B)
+    u = np.kron(ua, ub)
+    l = np.zeros(c.d1 * c.d2, dtype=complex)
+    if c.gamma > 0:
+        l = (np.sqrt(c.gamma) * a[:, None] - c.eta / np.sqrt(c.gamma)
+             * np.exp(1j * c.phi) * b[None, :]).reshape(-1)
+    h = c.g * np.outer(a, b).reshape(-1)
+    rate = (-0.5 * np.abs(l[:, None] - l[None, :]) ** 2
+            + 1j * (np.imag(l[:, None] * l.conj()[None, :])
+                    - (h[:, None] - h[None, :])))
+    return u @ (np.exp(t * rate) * (u.conj().T @ rho0 @ u)) @ u.conj().T
+
+
+def propagate(model: DissipativeCoupling | np.ndarray, rho0: np.ndarray,
+              t: float) -> np.ndarray:
+    """Evolve ``rho0`` for time ``t`` and re-validate the result.
+
+    ``model`` is either a :class:`DissipativeCoupling`, evolved in closed
+    form in the eigenbasis of ``A`` and ``B`` (its full generator, coherent
+    term included), or a dense row-vectorized generator ``gen``, evolved as
+    ``exp(gen * t)``.  The dense route is the reference the closed form is
+    tested against.
 
     Trace and Hermiticity drift beyond 1e-8 raise :class:`NumericalError`;
     small Hermiticity drift is symmetrized away.  Positivity violations
@@ -294,12 +333,20 @@ def propagate(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
         raise ValidationError(f"propagation time must be >= 0, got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
-    if gen.shape != (d * d, d * d):
+    coupling = isinstance(model, DissipativeCoupling)
+    if coupling and model.d1 * model.d2 != d:
         raise DimMismatch(
-            f"generator shape {gen.shape} incompatible with state dim {d}")
+            f"coupling dims {(model.d1, model.d2)} incompatible with state "
+            f"dim {d}")
+    if not coupling and model.shape != (d * d, d * d):
+        raise DimMismatch(
+            f"generator shape {model.shape} incompatible with state dim {d}")
     if t == 0:
         return rho0.copy()
-    rho = unvec(opcore.expm(gen, t) @ vec(rho0), d)
+    if coupling:
+        rho = _evolve_coupling(model, rho0, t)
+    else:
+        rho = unvec(opcore.expm(model, t) @ vec(rho0), d)
     tr0, tr = rho0.trace().real, rho.trace()
     if abs(tr - tr0) > 1e-8 * max(1.0, abs(tr0)):
         raise NumericalError(f"trace drifted from {tr0} to {tr}")

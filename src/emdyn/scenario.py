@@ -17,7 +17,7 @@ from .errors import NotHermitian, ParseError, ValidationError
 from .liouville import DissipativeCoupling
 
 __all__ = ["Scenario", "VALID_TASKS", "parse_scenario", "load_scenario",
-           "emit_scenario", "parse_operator", "parse_state"]
+           "emit_scenario", "parse_operator", "parse_state", "check_margin"]
 
 VALID_TASKS = ("simulate", "equivalence", "controllability", "bounds",
                "circuit-validate", "tones")
@@ -226,6 +226,14 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def check_margin(margin: float) -> float:
+    """The threshold margin must be a positive finite number."""
+    if not (np.isfinite(margin) and margin > 0):
+        raise ValidationError(
+            f"margin must be positive and finite, got {margin}")
+    return float(margin)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
     try:
@@ -262,9 +270,7 @@ def parse_scenario(text: str) -> Scenario:
 
     margin = doc.get("margin")
     if margin is not None:
-        margin = _number(margin, "margin")
-        if margin <= 0:
-            raise ValidationError(f"margin must be positive, got {margin}")
+        check_margin(_number(margin, "margin"))
         margin = doc["margin"]  # keep the raw value for round-tripping
 
     system = _require_mapping(doc, "system")

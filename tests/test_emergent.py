@@ -5,7 +5,7 @@ import pytest
 from emdyn import emergent, liouville, opcore
 from emdyn.errors import DegenerateFit, ValidationError
 
-from conftest import rand_density
+from conftest import rand_density, rand_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -76,6 +76,39 @@ def test_gap_matches_map_route():
     c = make_coupling(gamma=100.0)
     gap = emergent.equivalence_gap(c, P0, P0, 1.0)
     assert 0 < gap < 0.05
+
+
+def test_gap_matches_coherent_unitary_formula(rng):
+    # The mixture side equals the S2 marginal of exp(-i t eta sin(phi) A⊗B)
+    # for any rho1; the exact side equals the dense-expm propagation.
+    for d1, d2 in ((1, 3), (2, 2), (3, 2), (4, 4)):
+        c = make_coupling(gamma=float(rng.uniform(5.0, 500.0)),
+                          eta=float(rng.uniform(0.2, 1.5)),
+                          phi=float(rng.uniform(-np.pi, np.pi)),
+                          g=float(rng.uniform(-1.0, 1.0)),
+                          A=rand_hermitian(rng, d1), B=rand_hermitian(rng, d2))
+        rho1, rho2 = rand_density(rng, d1), rand_density(rng, d2)
+        t = float(rng.uniform(0.1, 2.0))
+        rho0 = np.kron(rho1, rho2)
+        gen = liouville.build_full_generator(c, include_coherent=False)
+        s2_diss = opcore.partial_trace(liouville.propagate(gen, rho0, t),
+                                       (d1, d2), [1])
+        u = opcore.expm(c.eta * np.sin(c.phi) * np.kron(c.A, c.B), -1j * t)
+        s2_coh = opcore.partial_trace(u @ rho0 @ u.conj().T, (d1, d2), [1])
+        want = opcore.trace_distance(s2_diss, s2_coh)
+        assert abs(emergent.equivalence_gap(c, rho1, rho2, t) - want) <= 1e-12
+
+
+def test_scaling_exponent_rule():
+    gammas = [10.0, 100.0, 1000.0, 10000.0]
+    assert emergent.scaling_exponent(gammas, 3.0 / np.array(gammas)) == \
+        pytest.approx(-1.0, abs=1e-12)
+    with pytest.raises(ValidationError):
+        emergent.scaling_exponent(gammas[:3], [0.3, 0.03, 0.003])
+    with pytest.raises(ValidationError):
+        emergent.scaling_exponent([10.0, 20.0, 40.0, 80.0], [4, 3, 2, 1])
+    with pytest.raises(DegenerateFit):
+        emergent.scaling_exponent(gammas, [0.1, 0.01, 0.001, 0.0])
 
 
 def test_fit_power_law_recovers_synthetic_exponent():

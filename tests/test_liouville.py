@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emdyn import liouville, opcore
-from emdyn.errors import BadEigenindex, ValidationError
+from emdyn.errors import BadEigenindex, DimMismatch, ValidationError
 
 from conftest import rand_density, rand_hermitian
 
@@ -90,6 +94,70 @@ def test_propagate_is_trace_preserving_and_positive(rng):
     rho = liouville.propagate(gen, rho0, 2.0)
     assert abs(np.trace(rho) - 1) < 1e-10
     assert np.linalg.eigvalsh(rho).min() > -1e-9
+
+
+@st.composite
+def coupling_cases(draw):
+    """A random coupling, product state and time for the differential test.
+
+    Regimes: ``eta < gamma``, ``eta >= gamma``, and the purely coherent
+    ``gamma = eta = 0`` with ``g != 0``.  ``degenerate`` rebuilds A and B
+    with repeated eigenvalues.  ``gamma t`` reaches about 1e4.
+    """
+    d1, d2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A, B = rand_hermitian(rng, d1), rand_hermitian(rng, d2)
+    if draw(st.booleans()):
+        A, B = (v @ np.diag(rng.choice([-1.0, 0.0, 2.0], size=len(w)))
+                @ v.conj().T
+                for w, v in (np.linalg.eigh(A), np.linalg.eigh(B)))
+    regime = draw(st.sampled_from(["eta<gamma", "eta>=gamma", "coherent"]))
+    g = draw(st.floats(-2.0, 2.0))
+    if regime == "coherent":
+        gamma = eta = 0.0
+        g = g or 1.0
+    else:
+        gamma = 10 ** draw(st.floats(-1.0, 3.0))
+        ratio = (draw(st.floats(0.0, 0.99)) if regime == "eta<gamma"
+                 else draw(st.floats(1.0, 3.0)))
+        eta = ratio * gamma
+    t = draw(st.sampled_from([0.0, 1e-3, 0.5, 2.0, 1e4 / max(gamma, 1.0)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # eta >= gamma is flagged
+        c = liouville.DissipativeCoupling(
+            A=A, B=B, gamma=gamma, eta=eta,
+            phi=draw(st.floats(-np.pi, np.pi)), g=g)
+    return c, np.kron(rand_density(rng, d1), rand_density(rng, d2)), t
+
+
+@settings(max_examples=150, deadline=None)
+@given(coupling_cases())
+def test_closed_form_matches_dense_route(case):
+    c, rho0, t = case
+    got = liouville.propagate(c, rho0, t)
+    want = liouville.propagate(liouville.build_full_generator(c), rho0, t)
+    assert np.max(np.abs(got - want)) <= 1e-10
+    assert np.max(np.abs(got - got.conj().T)) <= 1e-12
+    assert abs(np.trace(got) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(got).min() >= -opcore.POSITIVITY_TOL
+
+
+def test_closed_form_guards():
+    c = make_coupling()
+    with pytest.raises(DimMismatch):
+        liouville.propagate(c, np.eye(2) / 2, 1.0)
+    with pytest.raises(ValidationError):
+        liouville.propagate(c, np.kron(PLUS, P0), -1.0)
+
+
+def test_drift_coefficient_signs():
+    c = make_coupling(eta=0.5, phi=0.3, g=0.2)
+    assert c.drift(2.0) == 2.0 * (0.2 + 0.5 * np.sin(0.3))
+    assert c.drift(2.0, on=1) == 2.0 * (0.2 - 0.5 * np.sin(0.3))
+    npt.assert_array_equal(c.drift(np.array([1.0, -1.0])),
+                           [c.drift(1.0), c.drift(-1.0)])
+    with pytest.raises(ValidationError):
+        c.drift(1.0, on=3)
 
 
 def test_reduced_s2_drift_and_rate():

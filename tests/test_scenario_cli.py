@@ -232,5 +232,40 @@ def test_cli_validation_error_exits_2(tmp_path):
     assert run_cli("simulate", "--scenario", str(bad)) == 2
 
 
+@pytest.mark.parametrize("margin", ["-5", "0", "nan", "inf"])
+def test_cli_rejects_bad_margin(tmp_path, capsys, margin):
+    rc = run_cli("bounds",
+                 "--scenario", str(SCENARIO_DIR / "bounds_commuting.yaml"),
+                 "--out", str(tmp_path / "out"), "--margin", margin)
+    assert rc == 2
+    assert "margin must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_rejects_nonfinite_margin():
+    with pytest.raises(ValidationError):
+        parse_scenario(MINIMAL + "margin: .inf\n")
+
+
+@pytest.mark.parametrize("eta, gammas", [
+    (0.0, [10.0, 100.0, 1000.0, 10000.0]),   # zero gaps
+    (1.0, [10.0, 100.0, 1000.0]),            # too few gammas
+    (1.0, [10.0, 20.0, 40.0, 80.0]),         # under two decades
+])
+def test_cli_unfittable_sweep_writes_null(tmp_path, eta, gammas):
+    doc = MINIMAL.replace("eta: 1.0", f"eta: {eta}").replace(
+        "[10.0, 100.0, 1000.0, 10000.0]", str(gammas))
+    rc = cli.run(parse_scenario(doc), tmp_path)
+    assert rc == 0
+
+    def reject(token):
+        raise ValueError(token)
+    report = json.loads((tmp_path / "report.json").read_text(),
+                        parse_constant=reject)
+    assert report["fitted_exponent_per_t"] == {"%.16e" % 1.0: None}
+    rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
+    assert all(np.isnan(float(r.split(",")[3])) for r in rows)
+
+
 def test_cli_missing_file_exits_2(tmp_path):
     assert run_cli("simulate", "--scenario", str(tmp_path / "nope.yaml")) == 2
