@@ -73,7 +73,7 @@ def _times(scenario: Scenario, default=(1.0,)) -> list[float]:
     return [float(t) for t in sweep.get("t", list(default))]
 
 
-def _run_simulate(scenario: Scenario, rng, margin):
+def _run_simulate(scenario: Scenario, margin):
     c = scenario.build_coupling()
     rho1 = scenario.initial_state("rho1", c.d1)
     rho2 = scenario.initial_state("rho2", c.d2)
@@ -95,7 +95,7 @@ def _run_simulate(scenario: Scenario, rng, margin):
     return ["t", "purity", "s1_purity", "s2_purity"], rows, report
 
 
-def _run_equivalence(scenario: Scenario, rng, margin):
+def _run_equivalence(scenario: Scenario, margin):
     c = scenario.build_coupling()
     rho1 = scenario.initial_state("rho1", c.d1)
     rho2 = scenario.initial_state("rho2", c.d2)
@@ -126,7 +126,7 @@ def _run_equivalence(scenario: Scenario, rng, margin):
     return ["gamma", "t", "trace_distance", "fitted_exponent"], rows, report
 
 
-def _run_controllability(scenario: Scenario, rng, margin):
+def _run_controllability(scenario: Scenario, margin):
     c = scenario.build_coupling()
     controls = scenario.control_operators()
     lambda_a = float((scenario.system or {}).get("lambda_a", 1.0))
@@ -145,7 +145,7 @@ def _run_controllability(scenario: Scenario, rng, margin):
     return ["dim_without_drift", "dim_with_drift", "full_dim"], rows, report
 
 
-def _run_bounds(scenario: Scenario, rng, margin):
+def _run_bounds(scenario: Scenario, margin):
     c = scenario.build_coupling()
     psi0_rho = scenario.initial_state("psi0", c.d2)
     w, v = np.linalg.eigh(psi0_rho)
@@ -190,7 +190,7 @@ def _circuit_params(scenario: Scenario) -> circuit.CircuitParams:
         Omega=tuple(float(w) for w in sec["Omega"]), mode=mode)
 
 
-def _run_circuit_validate(scenario: Scenario, rng, margin):
+def _run_circuit_validate(scenario: Scenario, margin):
     params = _circuit_params(scenario)
     phi = float((scenario.circuit or {}).get("phi", np.pi / 2))
     ec = circuit.effective_coupling_constants(params)
@@ -214,7 +214,7 @@ def _run_circuit_validate(scenario: Scenario, rng, margin):
              "strong_damping_value"], rows, report)
 
 
-def _run_tones(scenario: Scenario, rng, margin):
+def _run_tones(scenario: Scenario, margin):
     sec = scenario.tones
     if sec is None:
         raise ValidationError("scenario has no tones section")
@@ -260,8 +260,7 @@ def run(scenario: Scenario, out_dir, seed: int | None = None,
     out.mkdir(parents=True, exist_ok=True)
     if seed is None:
         seed = scenario.seed
-    rng = np.random.default_rng(seed)
-    header, rows, report = _RUNNERS[scenario.task](scenario, rng, margin)
+    header, rows, report = _RUNNERS[scenario.task](scenario, margin)
     report["name"] = scenario.name
     report["seed"] = seed
     csv_path = out / "results.csv"

@@ -25,7 +25,7 @@ from . import opcore
 from .errors import (BadEigenindex, DimMismatch, NonPhysicalResult,
                      NumericalError, ValidationError)
 from .opcore import (HilbertSpace, check_hermitian, dissipator_superop,
-                     hamiltonian_superop, herm_eig, tensor, unvec, vec)
+                     hamiltonian_superop, herm_eig, tensor)
 
 __all__ = [
     "DissipativeCoupling", "ControlPulse", "MasterEquation",
@@ -322,8 +322,10 @@ def propagate(model: DissipativeCoupling | np.ndarray, rho0: np.ndarray,
     ``model`` is either a :class:`DissipativeCoupling`, evolved in closed
     form in the eigenbasis of ``A`` and ``B`` (its full generator, coherent
     term included), or a dense row-vectorized generator ``gen``, evolved as
-    ``exp(gen * t)``.  The dense route is the reference the closed form is
-    tested against.
+    ``exp(gen * t)`` in real Hermitian-basis coordinates
+    (:func:`opcore.expm_superop_apply`); a ``gen`` that does not preserve
+    Hermiticity raises :class:`ValidationError`.  The complex ``expm`` of
+    ``gen`` is the test oracle for both routes.
 
     Trace and Hermiticity drift beyond 1e-8 raise :class:`NumericalError`;
     small Hermiticity drift is symmetrized away.  Positivity violations
@@ -346,7 +348,7 @@ def propagate(model: DissipativeCoupling | np.ndarray, rho0: np.ndarray,
     if coupling:
         rho = _evolve_coupling(model, rho0, t)
     else:
-        rho = unvec(opcore.expm(model, t) @ vec(rho0), d)
+        rho = opcore.expm_superop_apply(model, rho0, t)
     tr0, tr = rho0.trace().real, rho.trace()
     if abs(tr - tr0) > 1e-8 * max(1.0, abs(tr0)):
         raise NumericalError(f"trace drifted from {tr0} to {tr}")

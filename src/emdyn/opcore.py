@@ -15,20 +15,20 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (BadFactorIndex, DimMismatch, NotDensityMatrix,
-                     NotHermitian)
+                     NotHermitian, ValidationError)
 
 __all__ = [
     "HilbertSpace", "SpectralDecomposition",
     "tensor", "herm_eig", "expm", "partial_trace",
     "vec", "unvec", "left_superop", "right_superop",
-    "hamiltonian_superop", "dissipator_superop",
+    "hamiltonian_superop", "dissipator_superop", "expm_superop_apply",
     "hs_inner", "trace_distance", "frob_norm",
     "is_hermitian", "check_hermitian", "check_density",
     "POSITIVITY_TOL", "DEGENERACY_RTOL",
@@ -158,8 +158,14 @@ def herm_eig(op: np.ndarray, tol: float = _HERM_TOL) -> SpectralDecomposition:
 
 
 def expm(op: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """Matrix exponential ``exp(scale * op)`` (scaling-and-squaring Padé)."""
-    op = np.asarray(op, dtype=complex)
+    """Matrix exponential ``exp(scale * op)`` (scaling-and-squaring Padé).
+
+    A real ``op`` with a real ``scale`` stays real, which makes the
+    products about four times cheaper than complex ones.
+    """
+    op = np.asarray(op)
+    if op.dtype.kind != "c":
+        op = op.astype(float, copy=False)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise DimMismatch(f"expm argument must be square, got {op.shape}")
     return scipy.linalg.expm(scale * op)
@@ -208,6 +214,62 @@ def vec(rho: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
     return np.asarray(v, dtype=complex).reshape(dim, dim)
+
+
+@lru_cache(maxsize=64)
+def _hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
+    """Sparse form of the unitary ``T`` whose columns are the row-vectorized
+    orthonormal Hermitian basis of d×d operators: ``|i><i|``, then
+    ``(|i><j| + |j><i|)/√2``, then ``i(|i><j| − |j><i|)/√2`` (``i < j``).
+
+    Returns ``(i1, i2, w1, w2, j1, j2, u1, u2)``: row ``k`` of ``Tᴴ`` is
+    ``w1[k] e_i1[k] + w2[k] e_i2[k]`` and row ``n`` of ``T`` is
+    ``u1[n] e_j1[n] + u2[n] e_j2[n]``, so either product is two gathers.
+    """
+    i, j = np.triu_indices(d, 1)
+    ii, ij, ji = np.arange(d) * (d + 1), i * d + j, j * d + i
+    half, s = np.full(d, 0.5), np.full(len(i), np.sqrt(0.5))
+    i1, i2 = np.concatenate([ii, ij, ij]), np.concatenate([ii, ji, ji])
+    w1 = np.concatenate([half, s, -1j * s])
+    w2 = np.concatenate([half, s, 1j * s])
+    # T[n, k] = conj(Tᴴ[k, n]): every n occurs twice among (i1, i2)
+    order = np.argsort(np.concatenate([i1, i2]), kind="stable")
+    k = np.tile(np.arange(d * d), 2)[order].reshape(-1, 2)
+    u = np.concatenate([w1, w2]).conj()[order].reshape(-1, 2)
+    out = (i1, i2, w1, w2, k[:, 0], k[:, 1], u[:, 0], u[:, 1])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def expm_superop_apply(gen: np.ndarray, rho: np.ndarray,
+                       t: float) -> np.ndarray:
+    """``unvec(exp(t gen) vec(rho))`` for a Hermiticity-preserving ``gen``.
+
+    ``gen`` is mapped to ``Tᴴ gen T``, with ``T`` the orthonormal Hermitian
+    basis of :func:`_hermitian_basis`, by row and column gathers (no product
+    with ``T``).  There it is real, so a real ``expm`` does the work.  The map
+    is an exact similarity transform, so ``rho`` need not be Hermitian.
+    A generator whose image has an imaginary entry beyond 1e-10 times
+    ``max(1, largest entry)`` does not preserve Hermiticity and raises
+    :class:`ValidationError` (the floor of 1 keeps a generator that cancels to
+    rounding noise, such as a d = 1 dissipator, from being rejected).
+    """
+    gen = np.asarray(gen, dtype=complex)
+    d = np.shape(rho)[0]
+    if gen.shape != (d * d, d * d):
+        raise DimMismatch(
+            f"generator shape {gen.shape} incompatible with state dim {d}")
+    i1, i2, w1, w2, j1, j2, u1, u2 = _hermitian_basis(d)
+    cols = gen[:, i1] * w1.conj() + gen[:, i2] * w2.conj()
+    g = w1[:, None] * cols[i1] + w2[:, None] * cols[i2]
+    if np.abs(g.imag).max() > 1e-10 * max(1.0, np.abs(g).max()):
+        raise ValidationError("generator does not preserve Hermiticity")
+    v = vec(rho)
+    x = w1 * v[i1] + w2 * v[i2]
+    e = expm(g.real, t)
+    y = e @ x.real + 1j * (e @ x.imag)
+    return unvec(u1 * y[j1] + u2 * y[j2], d)
 
 
 def left_superop(a: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ lists; entries may be numbers or complex-number strings like ``"1+2j"``).
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,27 +105,47 @@ def _parse_dense(rows, where: str) -> np.ndarray:
     return mat
 
 
+def _split_terms(s: str, where: str) -> list[str]:
+    """Split at ``+``/``-`` outside parentheses, keeping each sign with its
+    term.  A sign right after ``e``/``E`` (exponent), ``*``, ``⊗`` or another
+    sign is not a split."""
+    pieces, depth, start = [], 0, 0
+    for k, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif (ch in "+-" and depth == 0 and k > 0
+              and s[k - 1] not in "eE*⊗+-"):
+            pieces.append(s[start:k])
+            start = k
+        if depth < 0:
+            break
+    if depth != 0:
+        raise ParseError(f"unbalanced parentheses in {s!r}", field=where)
+    pieces.append(s[start:])
+    return pieces
+
+
 def _parse_pauli_string(text: str, where: str) -> np.ndarray:
     s = text.replace("−", "-").replace(" ", "")
     if not s:
         raise ParseError("empty operator expression", field=where)
-    # split into signed terms; +/- inside an exponent (1e-3) is not a split
-    pieces = re.split(r"(?<![eE*⊗+\-])([+-])", s)
-    if pieces[0] == "":
-        pieces = pieces[1:]
-    else:
-        pieces = ["+"] + pieces
     result = None
-    for sign_tok, term in zip(pieces[::2], pieces[1::2]):
-        sign = 1.0 if sign_tok == "+" else -1.0
+    for term in _split_terms(s, where):
+        sign = -1.0 if term[0] == "-" else 1.0
+        term = term[1:] if term[0] in "+-" else term
         coeff = sign
         if "*" in term:
             coeff_txt, _, term = term.partition("*")
             try:
-                coeff = sign * float(coeff_txt)
+                c = complex(coeff_txt)
             except ValueError:
                 raise ParseError(f"bad coefficient {coeff_txt!r}",
                                  field=where) from None
+            # a real coefficient stays a float, so real operators keep the
+            # exact arithmetic (and signed zeros) of a float product
+            coeff = sign * (c if c.imag else c.real)
         factors = term.split("⊗")
         mats = []
         for f in factors:
@@ -147,9 +166,6 @@ def _parse_pauli_string(text: str, where: str) -> np.ndarray:
                              field=where)
         else:
             result = result + term_mat
-    if result is None:
-        raise ParseError(f"could not parse operator expression {text!r}",
-                         field=where)
     return result
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from emdyn import liouville, opcore
 from emdyn.errors import BadEigenindex, DimMismatch, ValidationError
 
-from conftest import rand_density, rand_hermitian
+from conftest import dense_expm_oracle, rand_density, rand_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -135,11 +135,53 @@ def coupling_cases(draw):
 def test_closed_form_matches_dense_route(case):
     c, rho0, t = case
     got = liouville.propagate(c, rho0, t)
-    want = liouville.propagate(liouville.build_full_generator(c), rho0, t)
-    assert np.max(np.abs(got - want)) <= 1e-10
+    gen = liouville.build_full_generator(c)
+    assert np.max(np.abs(got - dense_expm_oracle(gen, rho0, t))) <= 1e-10
+    assert np.max(np.abs(got - liouville.propagate(gen, rho0, t))) <= 1e-10
     assert np.max(np.abs(got - got.conj().T)) <= 1e-12
     assert abs(np.trace(got) - 1.0) <= 1e-10
     assert np.linalg.eigvalsh(got).min() >= -opcore.POSITIVITY_TOL
+
+
+@st.composite
+def master_equation_cases(draw):
+    """A random Lindblad generator (H plus one or two jumps), state and time.
+
+    Rates reach 1e3; the state is a random density matrix or the
+    non-Hermitian ``|0><1|`` (``|0><0|`` when d = 1).
+    """
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    jumps = tuple(
+        (rand_hermitian(rng, d) + 1j * rand_hermitian(rng, d),
+         10 ** draw(st.floats(-2.0, 3.0)))
+        for _ in range(draw(st.integers(1, 2))))
+    me = liouville.MasterEquation(rand_hermitian(rng, d), jumps,
+                                  opcore.HilbertSpace((d,)))
+    if draw(st.booleans()):
+        rho0 = rand_density(rng, d)
+    else:
+        rho0 = np.zeros((d, d), dtype=complex)
+        rho0[0, min(1, d - 1)] = 1.0
+    return me.generator(), rho0, draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(master_equation_cases())
+def test_hermitian_basis_route_matches_oracle(case):
+    gen, rho0, t = case
+    want = dense_expm_oracle(gen, rho0, t)
+    assert np.max(np.abs(opcore.expm_superop_apply(gen, rho0, t) - want)
+                  ) <= 1e-10
+    if opcore.is_hermitian(rho0):
+        assert np.max(np.abs(liouville.propagate(gen, rho0, t) - want)
+                      ) <= 1e-10
+
+
+def test_non_hermiticity_preserving_generator_rejected(rng):
+    gen = opcore.left_superop(rand_hermitian(rng, 3))
+    with pytest.raises(ValidationError, match="preserve Hermiticity"):
+        liouville.propagate(gen, np.eye(3) / 3, 1.0)
 
 
 def test_closed_form_guards():

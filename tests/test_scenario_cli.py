@@ -100,6 +100,27 @@ def test_pauli_expression_errors():
         parse_operator("abc*sz", "x")
 
 
+def test_pauli_complex_coefficients():
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]])
+    got = parse_operator("(0.5+0j)*sx - 0.25*sz", "x")
+    npt.assert_allclose(got, 0.5 * sx - 0.25 * np.diag([1.0, -1.0]))
+    got = parse_operator("1j*sx⊗sy", "x", hermitian=False)
+    npt.assert_allclose(got, 1j * np.kron(sx, sy))
+    with pytest.raises(NotHermitian):
+        parse_operator("1j*sx⊗sy", "x")
+    for bad in ("(1+*sx", "(1+", "(1+0j))*sx"):
+        with pytest.raises(ParseError):
+            parse_operator(bad, "x")
+
+
+def test_cli_anti_hermitian_pauli_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINIMAL.replace("B: sx", "B: 1j*sx"))
+    assert run_cli("equivalence", "--scenario", str(bad)) == 2
+    assert "not Hermitian" in capsys.readouterr().err
+
+
 def test_dense_matrix_operator():
     mat = parse_operator([[0, "1j"], ["-1j", 0]], "x")
     npt.assert_allclose(mat, np.array([[0, 1j], [-1j, 0]]))
