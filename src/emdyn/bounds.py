@@ -225,7 +225,10 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
     In that frame the control commutator disappears and the jump becomes
     time-dependent, ``L(t) = sqrt(gamma) (A1 − i gamma^{-1} Btilde2(t))``
     with ``Btilde(t) = V(t)† (eta B) V(t)`` and ``V`` the accumulated control
-    unitary.  The time dependence is handled by midpoint-frozen substeps.
+    unitary.  S1 starts in an eigenstate of ``A`` with eigenvalue ``lam``
+    and stays there, so S2 evolves alone under the jump
+    ``sqrt(gamma) (lam − i gamma^{-1} Btilde(t))``.  The time dependence is
+    handled by midpoint-frozen substeps.
     Returns ``(rho2_rotated, V_total)``; undoing the rotation on the
     lab-frame marginal must reproduce ``rho2_rotated`` (a consistency check
     on the rotating-frame construction used for pulsed targets).
@@ -236,20 +239,18 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
     if c.g != 0:
         raise ValidationError("rotated-frame route assumes g == 0")
     b_abs = absorb_eta(c.B, c.eta)
-    a_vec = s1_eigenstate(c, task.a_eigenindex)
-    rho = tensor([np.outer(a_vec, a_vec.conj()),
-                  np.outer(task.psi0, task.psi0.conj())])
-    eye1, eye2 = np.eye(c.d1), np.eye(c.d2)
+    lam = herm_eig(c.A).eigenvalues[task.a_eigenindex]
+    rho = np.outer(task.psi0, task.psi0.conj())
+    l0 = np.sqrt(c.gamma) * lam * np.eye(c.d2)
+    b_scale = np.exp(1j * c.phi) / np.sqrt(c.gamma)
     v = np.eye(c.d2, dtype=complex)
     for k, (dur, _) in enumerate(task.pulse.segments):
-        hk = task.pulse.segment_hamiltonian(k)
+        # V(s) = Q exp(-i s w) Qᴴ V for the segment Hamiltonian Q diag(w) Qᴴ
+        w, q = np.linalg.eigh(task.pulse.segment_hamiltonian(k))
         tau = dur / substeps
-        for s in range(substeps):
-            v_mid = opcore.expm(hk, -1j * tau * (s + 0.5)) @ v
-            b_rot = v_mid.conj().T @ b_abs @ v_mid
-            jump = np.sqrt(c.gamma) * (
-                tensor([c.A, eye2])
-                - np.exp(1j * c.phi) / c.gamma * tensor([eye1, b_rot]))
-            rho = propagate(dissipator_superop(jump), rho, tau)
-        v = opcore.expm(hk, -1j * dur) @ v
-    return partial_trace(rho, (c.d1, c.d2), [1]), v
+        phases = np.exp(-1j * np.outer(tau * (np.arange(substeps) + 0.5), w))
+        v_mid = (q * phases[:, None, :]) @ (q.conj().T @ v)
+        for b_rot in v_mid.conj().transpose(0, 2, 1) @ b_abs @ v_mid:
+            rho = propagate(dissipator_superop(l0 - b_scale * b_rot), rho, tau)
+        v = (q * np.exp(-1j * dur * w)) @ (q.conj().T @ v)
+    return rho, v

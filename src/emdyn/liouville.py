@@ -23,7 +23,8 @@ import numpy as np
 
 from . import opcore
 from .errors import (BadEigenindex, DimMismatch, NonPhysicalResult,
-                     NumericalError, ValidationError)
+                     NotDensityMatrix, NotHermitian, NumericalError,
+                     ValidationError)
 from .opcore import (HilbertSpace, check_hermitian, dissipator_superop,
                      hamiltonian_superop, herm_eig, tensor)
 
@@ -327,6 +328,9 @@ def propagate(model: DissipativeCoupling | np.ndarray, rho0: np.ndarray,
     Hermiticity raises :class:`ValidationError`.  The complex ``expm`` of
     ``gen`` is the test oracle for both routes.
 
+    ``rho0`` must be Hermitian (:class:`NotHermitian` otherwise) with no
+    eigenvalue below ``-POSITIVITY_TOL`` (:class:`NotDensityMatrix`
+    otherwise), at every ``t``; its trace is kept, not required to be 1.
     Trace and Hermiticity drift beyond 1e-8 raise :class:`NumericalError`;
     small Hermiticity drift is symmetrized away.  Positivity violations
     beyond the global tolerance raise :class:`NonPhysicalResult`.
@@ -343,6 +347,14 @@ def propagate(model: DissipativeCoupling | np.ndarray, rho0: np.ndarray,
     if not coupling and model.shape != (d * d, d * d):
         raise DimMismatch(
             f"generator shape {model.shape} incompatible with state dim {d}")
+    if not opcore.is_hermitian(rho0, 1e-9):
+        raise NotHermitian("initial state is not Hermitian")
+    try:    # succeeds iff every eigenvalue exceeds -POSITIVITY_TOL
+        np.linalg.cholesky(rho0 + opcore.POSITIVITY_TOL * np.eye(d))
+    except np.linalg.LinAlgError:
+        w0 = np.linalg.eigvalsh(rho0).min()
+        raise NotDensityMatrix(
+            f"initial state has eigenvalue {w0:.3e}") from None
     if t == 0:
         return rho0.copy()
     if coupling:

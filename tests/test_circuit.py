@@ -9,18 +9,11 @@ from emdyn.errors import (DispersiveViolation, NegativeToneFrequency,
                           TruncationTooSmall, ValidationError,
                           ZeroPrimaryCoupling)
 
+from conftest import (dense_expm_oracle, rand_density, rand_hermitian,
+                      working_point)
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-def working_point(gamma_z=50.0, n_max=3, lambda_1z=0.25, lambda_23=0.15):
-    """Balanced operating point: Lambda comes out equal to gamma_z."""
-    mode = circuit.BosonicMode(n_max=n_max, omega_z=12.0, gamma_z=gamma_z)
-    return circuit.CircuitParams(
-        E_J=4 * np.sqrt(2) * gamma_z, phi_ext=np.pi / 4, phi0=1.0,
-        phi_z0=1.0, alpha_x=1.0, alpha_y=1.0, lambda_1z=lambda_1z,
-        lambda_2z=lambda_23, lambda_3z=lambda_23, Omega=(5.0, 6.0, 4.0),
-        mode=mode)
 
 
 def test_mode_and_params_validation():
@@ -159,6 +152,54 @@ def test_elimination_distance_shrinks_with_damping():
             SZ, SX, (0.1, 0.7))
         dists.append(circuit.validate_elimination(full, L, rho0, 2.0))
     assert dists[1] < dists[0] / 50
+
+
+def _unrotated_distance(full, L, rho0, t):
+    """validate_elimination's distance from dense complex expms, unrotated."""
+    dims = full.space.factor_dims
+    rho = dense_expm_oracle(full.generator(), np.kron(
+        rho0, circuit.fock_vacuum(dims[-1])), t)
+    marginal = opcore.partial_trace(rho, dims, range(len(dims) - 1))
+    return opcore.trace_distance(
+        marginal, dense_expm_oracle(opcore.dissipator_superop(L), rho0, t))
+
+
+@pytest.mark.parametrize("ops, n_max", [("random", 4), ("random-2x3", 2),
+                                        ("sz-sz", 4), ("identity-a", 4)])
+def test_validate_elimination_matches_unrotated(rng, ops, n_max):
+    A, B = {"random": (rand_hermitian(rng, 2), rand_hermitian(rng, 2)),
+            "random-2x3": (rand_hermitian(rng, 2), rand_hermitian(rng, 3)),
+            "sz-sz": (SZ, SZ),
+            "identity-a": (np.eye(2), rand_hermitian(rng, 2))}[ops]
+    rho0 = rand_density(rng, A.shape[0] * B.shape[0])
+    gamma_a = 100.0
+    lam1 = np.sqrt(0.6 * gamma_a) / 2
+    lam2 = 0.5 * lam1
+    A, B = A / np.abs(A).max(), B / np.abs(B).max()
+    L = circuit.adiabatic_eliminate(lam1, lam2, 0.3, 1.1, gamma_a, A, B)
+    full = circuit.build_system_bath(
+        circuit.SystemBathParams(lam1, lam2, gamma_a, n_max=n_max),
+        A, B, (0.3, 1.1))
+    u, model = circuit._system_diagonal(full, A.shape[0] * B.shape[0])
+    assert model is not full      # the couplings commute: rotation accepted
+    got = circuit.validate_elimination(full, L, rho0, 2.0)
+    assert abs(got - _unrotated_distance(full, L, rho0, 2.0)) <= 1e-10
+
+
+def test_validate_elimination_non_commuting_falls_back(rng):
+    """``H = sz ⊗ X1 + sx ⊗ X2``: no joint eigenbasis, so no rotation."""
+    a = circuit.lowering(4)
+    h = (np.kron(SZ, circuit.quadrature(a, 0.2))
+         + np.kron(SX, circuit.quadrature(a, 1.3)))
+    full = liouville.MasterEquation(h, ((np.kron(np.eye(2), a), 20.0),),
+                                    opcore.HilbertSpace((2, 5)))
+    u, model = circuit._system_diagonal(full, 2)
+    assert model is full
+    npt.assert_array_equal(u, np.eye(2))
+    L = 0.4 * SZ + 0.3 * SX
+    rho0 = rand_density(rng, 2)
+    got = circuit.validate_elimination(full, L, rho0, 1.5)
+    assert abs(got - _unrotated_distance(full, L, rho0, 1.5)) <= 1e-10
 
 
 def test_jrm_effective_dispersive_guard():

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emdyn import liouville, opcore
-from emdyn.errors import BadEigenindex, DimMismatch, ValidationError
+from emdyn import circuit, liouville, opcore
+from emdyn.errors import (BadEigenindex, DimMismatch, NotDensityMatrix,
+                          NotHermitian, ValidationError)
 
-from conftest import dense_expm_oracle, rand_density, rand_hermitian
+from conftest import (dense_expm_oracle, rand_density, rand_hermitian,
+                      working_point)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -176,6 +178,102 @@ def test_hermitian_basis_route_matches_oracle(case):
     if opcore.is_hermitian(rho0):
         assert np.max(np.abs(liouville.propagate(gen, rho0, t) - want)
                       ) <= 1e-10
+
+
+@st.composite
+def block_structured_cases(draw):
+    """A system ⊗ mode generator with exact invariant blocks, state and time.
+
+    ``diagonal``: random real diagonal system operators couple to random
+    mode quadratures; ``sx``: Pauli-X strings on one to three qubits, which
+    commute and keep qubit parities; ``jrm``: the ring-modulator builder at
+    ``n_max = 2``.  The mode is damped, sometimes with system dephasing;
+    the other kinds stay at most 256 wide.
+    The state is a random density matrix (every block) or a random state
+    inside one invariant sector of system levels ⊗ vacuum (some blocks).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # the 576-wide ring-modulator oracle is the slow one: draw it less often
+    kind = draw(st.sampled_from(["diagonal", "diagonal", "sx", "sx", "jrm"]))
+    if kind == "jrm":
+        params = working_point(gamma_z=draw(st.floats(5.0, 75.0)), n_max=2)
+        phi = draw(st.sampled_from([np.pi / 2, -np.pi / 2]))
+        tones = circuit.plan_dissipative_tones(
+            params.Omega, 12.0, 0.0, (0.0, np.pi + phi, np.pi + phi))
+        me = circuit.build_jrm_effective(
+            params, tones, include_three_body=draw(st.booleans()))
+        ds, dm = 8, 3
+    else:
+        n_q = draw(st.integers(1, 3)) if kind == "sx" else 1
+        ds = 2 ** n_q if kind == "sx" else draw(st.integers(2, 4))
+        dm = draw(st.integers(2, 16 // ds))
+        if kind == "sx":
+            strings = [opcore.tensor([SX if (m >> q) & 1 else I2
+                                      for q in range(n_q)])
+                       for m in range(1, 2 ** n_q)]
+            sys_ops = [strings[k] for k in rng.choice(
+                len(strings), size=min(2, len(strings)), replace=False)]
+        else:
+            sys_ops = [np.diag(rng.normal(size=ds)) for _ in range(2)]
+        a = circuit.lowering(dm - 1)
+        h = sum(rng.uniform(0.1, 3.0) * np.kron(op, circuit.quadrature(
+            a, rng.uniform(0, 2 * np.pi))) for op in sys_ops)
+        jumps = [(np.kron(np.eye(ds), a), 10 ** draw(st.floats(-1.0, 2.0)))]
+        if draw(st.booleans()):
+            jumps.append((np.kron(sys_ops[0], np.eye(dm)), 0.3))
+        me = liouville.MasterEquation(h, tuple(jumps),
+                                      opcore.HilbertSpace((ds, dm)))
+    if draw(st.booleans()):
+        rho0 = rand_density(rng, ds * dm)
+    else:
+        # the system levels that the Hamiltonian and jumps connect to a
+        # random level form an invariant sector
+        links = sum(np.abs(op.reshape(ds, dm, ds, dm)).sum(axis=(1, 3))
+                    for op in (me.hamiltonian, *(j for j, _ in me.jumps)))
+        lab = opcore._components(links)
+        sector = np.flatnonzero(lab == lab[rng.integers(ds)])
+        rho_s = np.zeros((ds, ds), dtype=complex)
+        rho_s[np.ix_(sector, sector)] = rand_density(rng, len(sector))
+        rho0 = np.kron(rho_s, circuit.fock_vacuum(dm))
+    return me.generator(), rho0, draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_structured_cases())
+def test_block_route_matches_oracle(case):
+    gen, rho0, t = case
+    assert len(np.unique(opcore._components(gen))) > 1
+    want = dense_expm_oracle(gen, rho0, t)
+    assert np.max(np.abs(opcore.expm_superop_apply(gen, rho0, t) - want)
+                  ) <= 1e-10
+    assert np.max(np.abs(liouville.propagate(gen, rho0, t) - want)) <= 1e-10
+
+
+def test_block_route_skips_unoccupied_blocks():
+    # dephasing keeps |0><0| and |1><1| apart: only the occupied block moves
+    gen = opcore.dissipator_superop(SZ) + opcore.hamiltonian_superop(SZ)
+    npt.assert_array_equal(liouville.propagate(gen, P0, 3.0), P0)
+    assert len(np.unique(opcore._components(gen))) == 4
+
+
+def test_block_route_follows_one_way_decay():
+    # |1><1| feeds |0><0| but not back: one block, not two
+    sm = np.array([[0, 1], [0, 0]], dtype=complex)
+    gen = opcore.dissipator_superop(sm)
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    want = np.diag([1 - np.exp(-2.0), np.exp(-2.0)])
+    npt.assert_allclose(liouville.propagate(gen, rho0, 2.0), want, atol=1e-14)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_propagate_rejects_bad_initial_state(t):
+    gen = opcore.dissipator_superop(SZ)
+    with pytest.raises(NotHermitian):
+        liouville.propagate(gen, np.array([[0, 1], [0, 0]], dtype=complex), t)
+    with pytest.raises(NotDensityMatrix):
+        liouville.propagate(gen, np.diag([1.5, -0.5]), t)
+    with pytest.raises(NotDensityMatrix):
+        liouville.propagate(make_coupling(), np.diag([1.5, -0.5, 0, 0]), t)
 
 
 def test_non_hermiticity_preserving_generator_rejected(rng):
