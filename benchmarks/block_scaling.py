@@ -5,9 +5,11 @@
         --seed N --pairs K
 
 ``scaling`` times the dense complex ``expm`` of the full generator (the
-oracle) against the library route, with the largest absolute difference,
-for ``validate_elimination`` at n_max 4, 6, 8 and the ring-modulator (JRM)
-``propagate`` at n_max 2, 3, 4.  ``pairs`` runs ``perfbench/run.py`` K times
+oracle, from ``perfbench/reference.py``) once against the best of three runs
+of the library route, with the largest absolute difference, for
+``validate_elimination`` at n_max 4, 6, 8 and the ring-modulator (JRM)
+``propagate`` at n_max 2, 3, 4 (the operating point of
+``tests/conftest.py::working_point``).  ``pairs`` runs ``perfbench/run.py`` K times
 on the parent checkout ``DIR`` and on this checkout, alternating which runs
 first, and records every run and each side's median and quartiles.  Each
 subcommand updates its own key of the JSON file and the machine info.  BLAS
@@ -31,12 +33,13 @@ for _var in BLAS_ENV:
 
 import numpy as np  # noqa: E402  (after the BLAS pin)
 import scipy  # noqa: E402
-import scipy.linalg  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
+from conftest import working_point  # noqa: E402
 from emdyn import circuit, liouville, opcore  # noqa: E402
+from perfbench import reference  # noqa: E402
 
 OUT = ROOT / "BENCH_4.json"
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -58,12 +61,7 @@ def machine() -> dict:
             "blas_threads": {v: os.environ[v] for v in BLAS_ENV}}
 
 
-def oracle(gen, rho0, t):
-    d = rho0.shape[0]
-    return (scipy.linalg.expm(gen * t) @ rho0.reshape(-1)).reshape(d, d)
-
-
-def timed(fn, repeats):
+def timed(fn, repeats=1):
     best, out = float("inf"), None
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -74,46 +72,35 @@ def timed(fn, repeats):
 
 def elimination_point(n_max):
     """Criterion 07's model at gamma_a = 100, the middle of its sweep."""
-    gamma_a, t = 100.0, 2.0
+    gamma_a, t, phi1, phi2 = 100.0, 2.0, 0.1, 0.7
     lam1 = np.sqrt(0.6 * gamma_a) / 2
     lam2 = 0.5 * lam1
     plus = np.full((2, 2), 0.5, dtype=complex)
     rho0 = np.kron(plus, plus)
-    L = circuit.adiabatic_eliminate(lam1, lam2, 0.1, 0.7, gamma_a, SZ, SX)
+    L = circuit.adiabatic_eliminate(lam1, lam2, phi1, phi2, gamma_a, SZ, SX)
     full = circuit.build_system_bath(
         circuit.SystemBathParams(lam1, lam2, gamma_a, n_max=n_max),
-        SZ, SX, (0.1, 0.7))
-
-    def dense():
-        dims = full.space.factor_dims
-        rho = oracle(full.generator(),
-                     np.kron(rho0, circuit.fock_vacuum(dims[-1])), t)
-        marginal = opcore.partial_trace(rho, dims, [0, 1])
-        return opcore.trace_distance(
-            marginal, oracle(opcore.dissipator_superop(L), rho0, t))
-
-    return dense, lambda: circuit.validate_elimination(full, L, rho0, t)
+        SZ, SX, (phi1, phi2))
+    return (lambda: reference.system_bath_distance(
+                lam1, lam2, gamma_a, phi1, phi2, SZ, SX, n_max, rho0, t),
+            lambda: circuit.validate_elimination(full, L, rho0, t))
 
 
 def jrm_point(n_max):
     """Criterion 09's forward propagation at gamma_z = 50."""
-    gamma_z = 50.0
-    mode = circuit.BosonicMode(n_max=n_max, omega_z=12.0, gamma_z=gamma_z)
-    params = circuit.CircuitParams(
-        E_J=4 * np.sqrt(2) * gamma_z, phi_ext=np.pi / 4, phi0=1.0,
-        phi_z0=1.0, alpha_x=1.0, alpha_y=1.0, lambda_1z=0.25,
-        lambda_2z=0.15, lambda_3z=0.15, Omega=(5.0, 6.0, 4.0), mode=mode)
+    params = working_point(gamma_z=50.0, n_max=n_max)
     ec = circuit.effective_coupling_constants(params)
     t = 1.0 / (2.0 * ec.gamma_eff * ec.eta_over_gamma)
     tones = circuit.plan_dissipative_tones(
-        params.Omega, mode.omega_z, 0.0, (0.0, 1.5 * np.pi, 1.5 * np.pi))
+        params.Omega, params.mode.omega_z, 0.0,
+        (0.0, 1.5 * np.pi, 1.5 * np.pi))
     rho0 = opcore.tensor([P0, P0, P0, circuit.fock_vacuum(n_max + 1)])
 
     def model():
         return circuit.build_jrm_effective(params, tones,
                                            include_three_body=True)
 
-    return (lambda: oracle(model().generator(), rho0, t),
+    return (lambda: reference.evolve(model().generator(), rho0, t),
             lambda: liouville.propagate(model().generator(), rho0, t))
 
 
@@ -124,8 +111,8 @@ def scaling(args) -> dict:
                               ("jrm_propagate", jrm_point, (2, 3, 4))):
         for n_max in sizes:
             dense, route = make(n_max)
-            dense_ms, want = timed(dense, 1)
-            route_ms, got = timed(route, args.repeats)
+            dense_ms, want = timed(dense)
+            route_ms, got = timed(route, 3)
             rows.append({"kind": kind, "n_max": n_max,
                          "dense_oracle_ms": round(dense_ms, 2),
                          "block_route_ms": round(route_ms, 2),
@@ -171,8 +158,7 @@ def pairs(args) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
-    s = sub.add_parser("scaling")
-    s.add_argument("--repeats", type=int, default=3)
+    sub.add_parser("scaling")
     p = sub.add_parser("pairs")
     p.add_argument("--parent", required=True)
     p.add_argument("--workload", required=True)

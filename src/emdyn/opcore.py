@@ -263,18 +263,30 @@ def _components(g: np.ndarray) -> np.ndarray:
         lab = new
 
 
+def _real_generator(gen: np.ndarray, d: int) -> np.ndarray:
+    """``Tᴴ gen T`` as a real matrix, ``T`` the basis of :func:`_hermitian_basis`.
+
+    Formed by row and column gathers (no product with ``T``).  A generator
+    whose image has an imaginary entry beyond 1e-10 times
+    ``max(1, largest entry)`` does not preserve Hermiticity and raises
+    :class:`ValidationError` (the floor of 1 keeps a generator that cancels to
+    rounding noise, such as a d = 1 dissipator, from being rejected).
+    """
+    i1, i2, w1, w2 = _hermitian_basis(d)[:4]
+    cols = gen[:, i1] * w1.conj() + gen[:, i2] * w2.conj()
+    g = w1[:, None] * cols[i1] + w2[:, None] * cols[i2]
+    if np.abs(g.imag).max() > 1e-10 * max(1.0, np.abs(g).max()):
+        raise ValidationError("generator does not preserve Hermiticity")
+    return g.real
+
+
 def expm_superop_apply(gen: np.ndarray, rho: np.ndarray,
                        t: float) -> np.ndarray:
     """``unvec(exp(t gen) vec(rho))`` for a Hermiticity-preserving ``gen``.
 
-    ``gen`` is mapped to ``Tᴴ gen T``, with ``T`` the orthonormal Hermitian
-    basis of :func:`_hermitian_basis`, by row and column gathers (no product
-    with ``T``).  There it is real, so a real ``expm`` does the work.  The map
-    is an exact similarity transform, so ``rho`` need not be Hermitian.
-    A generator whose image has an imaginary entry beyond 1e-10 times
-    ``max(1, largest entry)`` does not preserve Hermiticity and raises
-    :class:`ValidationError` (the floor of 1 keeps a generator that cancels to
-    rounding noise, such as a d = 1 dissipator, from being rejected).
+    ``gen`` is mapped to the real matrix ``Tᴴ gen T`` of
+    :func:`_real_generator`, so a real ``expm`` does the work.  The map is an
+    exact similarity transform, so ``rho`` need not be Hermitian.
 
     The real generator is split into the connected components of its exact
     nonzero pattern (:func:`_components`); ``exp(t G)`` is block diagonal in
@@ -288,11 +300,7 @@ def expm_superop_apply(gen: np.ndarray, rho: np.ndarray,
         raise DimMismatch(
             f"generator shape {gen.shape} incompatible with state dim {d}")
     i1, i2, w1, w2, j1, j2, u1, u2 = _hermitian_basis(d)
-    cols = gen[:, i1] * w1.conj() + gen[:, i2] * w2.conj()
-    g = w1[:, None] * cols[i1] + w2[:, None] * cols[i2]
-    if np.abs(g.imag).max() > 1e-10 * max(1.0, np.abs(g).max()):
-        raise ValidationError("generator does not preserve Hermiticity")
-    g = g.real
+    g = _real_generator(gen, d)
     v = vec(rho)
     x = w1 * v[i1] + w2 * v[i2]
     y = np.zeros_like(x)
