@@ -1,19 +1,24 @@
-"""Block-route scaling curve and perfbench medians, written to BENCH_4.json.
+"""Block-route scaling curve and perfbench medians, written to the JSON file
+named by ``OUT``.
 
     python benchmarks/block_scaling.py scaling
     python benchmarks/block_scaling.py pairs --parent DIR --workload NAME \
         --seed N --pairs K
 
-``scaling`` times the dense complex ``expm`` of the full generator (the
-oracle, from ``perfbench/reference.py``) once against the best of three runs
-of the library route, with the largest absolute difference, for
-``validate_elimination`` at n_max 4, 6, 8 and the ring-modulator (JRM)
-``propagate`` at n_max 2, 3, 4 (the operating point of
-``tests/conftest.py::working_point``).  ``pairs`` runs ``perfbench/run.py`` K times
-on the parent checkout ``DIR`` and on this checkout, alternating which runs
-first, and records every run and each side's median and quartiles.  Each
-subcommand updates its own key of the JSON file and the machine info.  BLAS
-is pinned to one thread in this process and in the runs it starts.
+``scaling`` records ``oracle_ms`` and ``library_ms`` with the largest
+absolute difference of their results.  The oracle is the dense complex
+``expm`` of the full generator (``perfbench/reference.py``), run once, and
+the library side is the best of three runs, for ``validate_elimination`` at
+n_max 4, 6, 8 and the ring-modulator (JRM) ``propagate`` of its dense
+generator at n_max 2, 3, 4 (the operating point of
+``tests/conftest.py::working_point``).  The same JRM generator's
+Kronecker-product build (``tests/conftest.py::kron_superop``) is timed
+against ``MasterEquation.generator``, both best of three.  ``pairs`` runs
+``perfbench/run.py`` K times on the parent checkout ``DIR`` and on this
+checkout, alternating which runs first, and records every run and each
+side's median and quartiles.  Each subcommand updates its own key of the
+JSON file and the machine info.  BLAS is pinned to one thread in this
+process and in the runs it starts.
 """
 from __future__ import annotations
 
@@ -37,11 +42,11 @@ import scipy  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
-from conftest import working_point  # noqa: E402
+from conftest import kron_superop, working_point  # noqa: E402
 from emdyn import circuit, liouville, opcore  # noqa: E402
 from perfbench import reference  # noqa: E402
 
-OUT = ROOT / "BENCH_4.json"
+OUT = ROOT / "BENCH_5.json"
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -86,36 +91,47 @@ def elimination_point(n_max):
             lambda: circuit.validate_elimination(full, L, rho0, t))
 
 
-def jrm_point(n_max):
-    """Criterion 09's forward propagation at gamma_z = 50."""
+def jrm_model(n_max):
+    """Criterion 09's forward model at gamma_z = 50 (a builder), its time."""
     params = working_point(gamma_z=50.0, n_max=n_max)
     ec = circuit.effective_coupling_constants(params)
-    t = 1.0 / (2.0 * ec.gamma_eff * ec.eta_over_gamma)
     tones = circuit.plan_dissipative_tones(
         params.Omega, params.mode.omega_z, 0.0,
         (0.0, 1.5 * np.pi, 1.5 * np.pi))
+    return (lambda: circuit.build_jrm_effective(params, tones,
+                                                include_three_body=True),
+            1.0 / (2.0 * ec.gamma_eff * ec.eta_over_gamma))
+
+
+def jrm_point(n_max):
+    """Criterion 09's forward propagation."""
+    model, t = jrm_model(n_max)
     rho0 = opcore.tensor([P0, P0, P0, circuit.fock_vacuum(n_max + 1)])
-
-    def model():
-        return circuit.build_jrm_effective(params, tones,
-                                           include_three_body=True)
-
     return (lambda: reference.evolve(model().generator(), rho0, t),
             lambda: liouville.propagate(model().generator(), rho0, t))
 
 
+def jrm_build(n_max):
+    """The generator of ``jrm_point``'s model: Kronecker build vs assembler."""
+    me = jrm_model(n_max)[0]()
+    h = me.hamiltonian
+    return (lambda: kron_superop(h, h, [(L, L, r) for L, r in me.jumps]),
+            me.generator)
+
+
 def scaling(args) -> dict:
     rows = []
-    for kind, make, sizes in (("validate_elimination", elimination_point,
-                               (4, 6, 8)),
-                              ("jrm_propagate", jrm_point, (2, 3, 4))):
+    for kind, make, sizes, repeats in (
+            ("validate_elimination", elimination_point, (4, 6, 8), 1),
+            ("jrm_propagate", jrm_point, (2, 3, 4), 1),
+            ("jrm_generator_build", jrm_build, (2, 3, 4), 3)):
         for n_max in sizes:
-            dense, route = make(n_max)
-            dense_ms, want = timed(dense)
-            route_ms, got = timed(route, 3)
+            oracle, library = make(n_max)
+            oracle_ms, want = timed(oracle, repeats)
+            library_ms, got = timed(library, 3)
             rows.append({"kind": kind, "n_max": n_max,
-                         "dense_oracle_ms": round(dense_ms, 2),
-                         "block_route_ms": round(route_ms, 2),
+                         "oracle_ms": round(oracle_ms, 2),
+                         "library_ms": round(library_ms, 2),
                          "max_abs_diff": float(np.max(np.abs(
                              np.asarray(got) - np.asarray(want))))})
             print(json.dumps(rows[-1]), flush=True)

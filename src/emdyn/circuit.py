@@ -299,10 +299,13 @@ def validate_elimination(full: MasterEquation, L_eff: np.ndarray,
 
     When the system parts of ``full``'s Hamiltonian and jumps commute (as
     for the couplings ``A ⊗ 1`` and ``1 ⊗ B`` of :func:`build_system_bath`),
-    the full model is propagated in their joint eigenbasis, where each
-    system matrix element ``|k><l|`` with its mode operator is an exact
-    invariant block of the generator, and the system marginal is rotated
-    back.  :func:`propagate` then exponentiates only those blocks.
+    the full model is propagated in their joint eigenbasis, where its
+    Hamiltonian and jumps are block diagonal over the system levels, and
+    the system marginal is rotated back.  The rotated model itself goes to
+    :func:`propagate`, which evolves each system matrix element ``|k><l|``
+    with its mode operator as an exact invariant block, built from the
+    operators' blocks; the full generator is never formed.  Otherwise the
+    model is propagated unrotated on the same route.
     """
     dims = full.space.factor_dims
     dm = dims[-1]
@@ -314,7 +317,7 @@ def validate_elimination(full: MasterEquation, L_eff: np.ndarray,
             f"rho0 shape {rho0.shape} does not match system dims {sys_dims}")
     u, model = _system_diagonal(full, d_sys)
     rho_full0 = tensor([u.conj().T @ rho0 @ u, fock_vacuum(dm)])
-    rho_full = propagate(model.generator(), rho_full0, t)
+    rho_full = propagate(model, rho_full0, t)
     sys_marginal = u @ partial_trace(rho_full, dims, range(len(sys_dims))) \
         @ u.conj().T
     rho_eff = propagate(dissipator_superop(L_eff), rho0, t)

@@ -170,29 +170,8 @@ def _run_bounds(scenario: Scenario, margin):
             "gamma_threshold"], rows, report
 
 
-def _circuit_params(scenario: Scenario) -> circuit.CircuitParams:
-    sec = scenario.circuit
-    if sec is None:
-        raise ValidationError("scenario has no circuit section")
-    mode_sec = sec.get("mode")
-    if not isinstance(mode_sec, dict):
-        raise ValidationError("circuit section requires a mode mapping")
-    mode = circuit.BosonicMode(n_max=int(mode_sec["n_max"]),
-                               omega_z=float(mode_sec["omega_z"]),
-                               gamma_z=float(mode_sec["gamma_z"]))
-    return circuit.CircuitParams(
-        E_J=float(sec["E_J"]), phi_ext=float(sec["phi_ext"]),
-        phi0=float(sec.get("phi0", 1.0)), phi_z0=float(sec.get("phi_z0", 1.0)),
-        alpha_x=float(sec.get("alpha_x", 1.0)),
-        alpha_y=float(sec.get("alpha_y", 1.0)),
-        lambda_1z=float(sec["lambda_1z"]), lambda_2z=float(sec["lambda_2z"]),
-        lambda_3z=float(sec["lambda_3z"]),
-        Omega=tuple(float(w) for w in sec["Omega"]), mode=mode)
-
-
 def _run_circuit_validate(scenario: Scenario, margin):
-    params = _circuit_params(scenario)
-    phi = float((scenario.circuit or {}).get("phi", np.pi / 2))
+    params, phi = scenario.circuit_params()
     ec = circuit.effective_coupling_constants(params)
     value, ok = circuit.strong_damping_condition(params)
     satisfied, direction = circuit.nonreciprocity_conditions(params, phi)
@@ -215,21 +194,7 @@ def _run_circuit_validate(scenario: Scenario, margin):
 
 
 def _run_tones(scenario: Scenario, margin):
-    sec = scenario.tones
-    if sec is None:
-        raise ValidationError("scenario has no tones section")
-    Omega = tuple(float(w) for w in sec["Omega"])
-    phi_y = tuple(float(p) for p in sec.get("phi_y", (0.0, 0.0, 0.0)))
-    plan = sec.get("plan", "dissipative")
-    if plan == "dissipative":
-        ts = circuit.plan_dissipative_tones(
-            Omega, float(sec["omega_z"]), float(sec.get("phi_x1", 0.0)),
-            phi_y, collisions=sec.get("collisions"))
-    elif plan == "coherent":
-        ts = circuit.plan_coherent_tones(Omega, phi_y)
-    else:
-        raise ValidationError(f"unknown tone plan {plan!r}; valid plans: "
-                              "dissipative, coherent")
+    ts = scenario.tone_plan()
     rows = []
     for m in range(3):
         wy, py = ts.y_tones[m]

@@ -161,7 +161,13 @@ class ControlPulse:
 
 @dataclass(frozen=True)
 class MasterEquation:
-    """Hamiltonian plus jump operators with rates, on a fixed space."""
+    """Hamiltonian plus jump operators with rates, on a fixed space.
+
+    :meth:`generator` assembles the dense row-vectorized d²×d² generator.
+    :func:`propagate` takes the model itself and never forms it: it
+    evolves the exact invariant blocks that the operators' zeros give,
+    each from its own small generator.
+    """
 
     hamiltonian: np.ndarray
     jumps: tuple[tuple[np.ndarray, float], ...]
@@ -184,11 +190,8 @@ class MasterEquation:
         object.__setattr__(self, "jumps", tuple(jumps))
 
     def generator(self) -> np.ndarray:
-        gen = hamiltonian_superop(self.hamiltonian)
-        for op, rate in self.jumps:
-            if rate != 0:
-                gen = gen + rate * dissipator_superop(op)
-        return gen
+        h = self.hamiltonian
+        return opcore._superop(h, h, [(op, op, r) for op, r in self.jumps])
 
 
 # --------------------------------------------------------------------------
@@ -316,17 +319,69 @@ def _evolve_coupling(c: DissipativeCoupling, rho0: np.ndarray,
     return u @ (np.exp(t * rate) * (u.conj().T @ rho0 @ u)) @ u.conj().T
 
 
-def propagate(model: DissipativeCoupling | np.ndarray, rho0: np.ndarray,
-              t: float) -> np.ndarray:
+def _evolve_master_equation(me: MasterEquation, rho0: np.ndarray,
+                            t: float) -> np.ndarray:
+    """``exp(t G) rho0`` for the model's generator ``G``, block by block.
+
+    ``H`` and the nonzero-rate jumps ``L`` (hence each ``L†L``) are block
+    diagonal over the connected components ``I_a`` of their joint nonzero
+    pattern, so every component pair is an exact invariant block of ``G``:
+    ``rho[I_a, I_b]`` evolves alone under ``_superop(H_aa, H_bb, L_aa,
+    L_bb)``, only ``|I_a|·|I_b|`` wide.  Only the pairs ``a ≤ b`` that
+    ``rho0`` occupies are evolved: a diagonal pair through
+    :func:`opcore.expm_superop_apply` (real basis, Hermiticity check,
+    finer split), an off-diagonal pair by one complex ``expm``, with
+    ``rho[I_b, I_a] = rho[I_a, I_b]ᴴ``.
+    """
+    h = me.hamiltonian
+    jumps = [(op, r) for op, r in me.jumps if r != 0]
+    pattern = h != 0
+    for op, _ in jumps:
+        pattern |= op != 0
+    lab = opcore._components(pattern)
+    comps = [np.flatnonzero(lab == c) for c in np.unique(lab)]
+    diag = [(h[np.ix_(i, i)], [op[np.ix_(i, i)] for op, _ in jumps])
+            for i in comps]
+    rates = [r for _, r in jumps]
+    rho = np.zeros_like(rho0)
+    for a, ia in enumerate(comps):
+        for b, ib in enumerate(comps[a:], a):
+            blk, tr = np.ix_(ia, ib), np.ix_(ib, ia)
+            x = (rho0[blk] + rho0[tr].conj().T) / 2
+            if not x.any():
+                continue
+            (h_a, ls_a), (h_b, ls_b) = diag[a], diag[b]
+            gen = opcore._superop(h_a, h_b, zip(ls_a, ls_b, rates))
+            if a == b:
+                rho[blk] = opcore.expm_superop_apply(gen, x, t)
+            else:
+                rho[blk] = (opcore.expm(gen, t) @ x.reshape(-1)).reshape(
+                    x.shape)
+                rho[tr] = rho[blk].conj().T
+    return rho
+
+
+def propagate(model: DissipativeCoupling | MasterEquation | np.ndarray,
+              rho0: np.ndarray, t: float) -> np.ndarray:
     """Evolve ``rho0`` for time ``t`` and re-validate the result.
 
-    ``model`` is either a :class:`DissipativeCoupling`, evolved in closed
-    form in the eigenbasis of ``A`` and ``B`` (its full generator, coherent
-    term included), or a dense row-vectorized generator ``gen``, evolved as
-    ``exp(gen * t)`` in real Hermitian-basis coordinates
-    (:func:`opcore.expm_superop_apply`); a ``gen`` that does not preserve
-    Hermiticity raises :class:`ValidationError`.  The complex ``expm`` of
-    ``gen`` is the test oracle for both routes.
+    The route follows the type of ``model``:
+
+    * a :class:`DissipativeCoupling` is evolved in closed form in the
+      eigenbasis of ``A`` and ``B`` (its full generator, coherent term
+      included);
+    * a :class:`MasterEquation` is evolved over the exact invariant blocks
+      of its generator, each built from the operators' blocks
+      (:func:`_evolve_master_equation`), so the d²×d² generator is never
+      formed; a non-Hermitian Hamiltonian raises :class:`ValidationError`
+      (the generator would not preserve Hermiticity) at every ``t``;
+    * a dense row-vectorized generator ``gen`` is evolved as
+      ``exp(gen * t)`` in real Hermitian-basis coordinates
+      (:func:`opcore.expm_superop_apply`); a ``gen`` that does not preserve
+      Hermiticity raises :class:`ValidationError`.
+
+    The complex ``expm`` of the generator is the test oracle for every
+    route.
 
     ``rho0`` must be Hermitian (:class:`NotHermitian` otherwise) with no
     eigenvalue below ``-POSITIVITY_TOL`` (:class:`NotDensityMatrix`
@@ -339,14 +394,20 @@ def propagate(model: DissipativeCoupling | np.ndarray, rho0: np.ndarray,
         raise ValidationError(f"propagation time must be >= 0, got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
-    coupling = isinstance(model, DissipativeCoupling)
-    if coupling and model.d1 * model.d2 != d:
+    if isinstance(model, DissipativeCoupling):
+        evolve, dims = _evolve_coupling, (model.d1, model.d2)
+        dims_ok = model.d1 * model.d2 == d
+    elif isinstance(model, MasterEquation):
+        evolve, dims = _evolve_master_equation, model.space.factor_dims
+        dims_ok = model.space.total_dim == d
+        if not opcore.is_hermitian(model.hamiltonian):
+            raise ValidationError("generator does not preserve Hermiticity")
+    else:
+        evolve, dims = opcore.expm_superop_apply, np.shape(model)
+        dims_ok = dims == (d * d, d * d)
+    if not dims_ok:
         raise DimMismatch(
-            f"coupling dims {(model.d1, model.d2)} incompatible with state "
-            f"dim {d}")
-    if not coupling and model.shape != (d * d, d * d):
-        raise DimMismatch(
-            f"generator shape {model.shape} incompatible with state dim {d}")
+            f"model dims {dims} incompatible with state dim {d}")
     if not opcore.is_hermitian(rho0, 1e-9):
         raise NotHermitian("initial state is not Hermitian")
     try:    # succeeds iff every eigenvalue exceeds -POSITIVITY_TOL
@@ -357,10 +418,7 @@ def propagate(model: DissipativeCoupling | np.ndarray, rho0: np.ndarray,
             f"initial state has eigenvalue {w0:.3e}") from None
     if t == 0:
         return rho0.copy()
-    if coupling:
-        rho = _evolve_coupling(model, rho0, t)
-    else:
-        rho = opcore.expm_superop_apply(model, rho0, t)
+    rho = evolve(model, rho0, t)
     tr0, tr = rho0.trace().real, rho.trace()
     if abs(tr - tr0) > 1e-8 * max(1.0, abs(tr0)):
         raise NumericalError(f"trace drifted from {tr0} to {tr}")

@@ -266,15 +266,26 @@ def _components(g: np.ndarray) -> np.ndarray:
 def _real_generator(gen: np.ndarray, d: int) -> np.ndarray:
     """``Tᴴ gen T`` as a real matrix, ``T`` the basis of :func:`_hermitian_basis`.
 
-    Formed by row and column gathers (no product with ``T``).  A generator
-    whose image has an imaginary entry beyond 1e-10 times
-    ``max(1, largest entry)`` does not preserve Hermiticity and raises
-    :class:`ValidationError` (the floor of 1 keeps a generator that cancels to
-    rounding noise, such as a d = 1 dissipator, from being rejected).
+    Formed by row and column gathers (``np.take``; no product with ``T``),
+    scaled and summed in place, so at most two d⁴-sized temporaries live
+    beside ``gen``.  A generator whose image has an imaginary entry beyond
+    1e-10 times ``max(1, largest entry)`` does not preserve Hermiticity and
+    raises :class:`ValidationError` (the floor of 1 keeps a generator that
+    cancels to rounding noise, such as a d = 1 dissipator, from being
+    rejected).
     """
     i1, i2, w1, w2 = _hermitian_basis(d)[:4]
-    cols = gen[:, i1] * w1.conj() + gen[:, i2] * w2.conj()
-    g = w1[:, None] * cols[i1] + w2[:, None] * cols[i2]
+    cols = np.take(gen, i1, axis=1)
+    cols *= w1.conj()
+    part = np.take(gen, i2, axis=1)
+    part *= w2.conj()
+    cols += part
+    g = np.take(cols, i1, axis=0)
+    g *= w1[:, None]
+    np.take(cols, i2, axis=0, out=part, mode="clip")   # "clip": unbuffered
+    part *= w2[:, None]
+    g += part
+    del cols, part      # before the check's temporaries
     if np.abs(g.imag).max() > 1e-10 * max(1.0, np.abs(g).max()):
         raise ValidationError("generator does not preserve Hermiticity")
     return g.real
@@ -324,9 +335,43 @@ def right_superop(b: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(b.shape[0]), b.T)
 
 
+def _superop(h_l: np.ndarray, h_r: np.ndarray, jumps=()) -> np.ndarray:
+    """Row-vectorized generator of the two-sided Lindblad map on a×b ``X``::
+
+        X ↦ −i (h_l X − X h_r) + Σ r (L_l X L_r† − ½ L_l†L_l X − ½ X L_r†L_r)
+
+    ``jumps`` holds ``(L_l, L_r, r)`` triples, ``h_l`` and ``L_l`` a×a,
+    ``h_r`` and ``L_r`` b×b.  With equal left and right operators this is
+    the Lindblad generator; with the diagonal blocks ``(I_a, I_a)`` and
+    ``(I_b, I_b)`` of block-diagonal operators it is the generator of the
+    block ``X = rho[I_a, I_b]``.
+
+    Built in one (a, b, a, b) array with no Kronecker product: the jump
+    term ``r L_l[i, k] conj(L_r[j, l])`` row by row (no temporary of the
+    output's size), and the one-sided terms through the diagonal views
+    ``g[:, j, :, j]`` and ``g[i, :, i, :]`` (writeable ``einsum`` views).
+    """
+    a, b = h_l.shape[0], h_r.shape[0]
+    g = np.zeros((a, b, a, b), dtype=complex)
+    k_l, k_r = -1j * h_l, 1j * h_r
+    for L_l, L_r, r in jumps:
+        if r == 0:
+            continue
+        conj_r = L_r.conj()[:, None, :]
+        for i in range(a):
+            g[i] += (r * L_l[i])[None, :, None] * conj_r
+        k_l = k_l - 0.5 * r * (L_l.conj().T @ L_l)
+        k_r = k_r - 0.5 * r * (L_r.conj().T @ L_r)
+    left, right = np.einsum("ijkj->ijk", g), np.einsum("ijil->ijl", g)
+    left += k_l[:, None, :]       # g[:, j, :, j] += k_l, for k_l X
+    right += k_r.T[None, :, :]    # g[i, :, i, :] += k_r.T, for X k_r
+    return g.reshape(a * b, a * b)
+
+
 def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     """Superoperator of the coherent part, ``rho -> -i [h, rho]``."""
-    return -1j * (left_superop(h) - right_superop(h))
+    h = np.asarray(h, dtype=complex)
+    return _superop(h, h)
 
 
 def dissipator_superop(L: np.ndarray) -> np.ndarray:
@@ -334,9 +379,8 @@ def dissipator_superop(L: np.ndarray) -> np.ndarray:
     L = np.asarray(L, dtype=complex)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise DimMismatch(f"jump operator must be square, got {L.shape}")
-    LdL = L.conj().T @ L
-    return (np.kron(L, L.conj())
-            - 0.5 * (left_superop(LdL) + right_superop(LdL)))
+    z = np.zeros_like(L)
+    return _superop(z, z, [(L, L, 1.0)])
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
+from . import circuit as _circuit
 from .errors import NotHermitian, ParseError, ValidationError
 from .liouville import DissipativeCoupling
 
@@ -72,6 +73,26 @@ class Scenario:
             A=self.operator("A"), B=self.operator("B"),
             gamma=float(c["gamma"]), eta=float(c.get("eta", 0.0)),
             phi=float(c.get("phi", 0.0)), g=float(c.get("g", 0.0)))
+
+    def circuit_params(self) -> tuple[_circuit.CircuitParams, float]:
+        """The ``circuit`` section's parameters and its phase ``phi``."""
+        if self.circuit is None:
+            raise ValidationError("scenario has no circuit section")
+        v = _circuit_values(self.circuit)
+        mode = _circuit.BosonicMode(*v.pop("mode"))
+        phi = v.pop("phi")
+        return _circuit.CircuitParams(**v, mode=mode), phi
+
+    def tone_plan(self) -> _circuit.ToneSet:
+        """The pump-tone plan that the ``tones`` section asks for."""
+        if self.tones is None:
+            raise ValidationError("scenario has no tones section")
+        v = _tone_values(self.tones)
+        if v["plan"] == "coherent":
+            return _circuit.plan_coherent_tones(v["Omega"], v["phi_y"])
+        return _circuit.plan_dissipative_tones(
+            v["Omega"], v["omega_z"], v["phi_x1"], v["phi_y"],
+            collisions=v["collisions"])
 
     def initial_state(self, key: str, dim: int) -> np.ndarray:
         spec = (self.initial or {}).get(key, "0")
@@ -239,7 +260,72 @@ def _require_mapping(doc: dict, key: str):
 def _number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{where} must be a number, got {value!r}", field=where)
-    return float(value)
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValidationError(f"{where} must be finite, got {x}")
+    return x
+
+
+def _numbers(values, where: str, length: int | None = None) -> tuple:
+    if not isinstance(values, list) or (length is not None
+                                        and len(values) != length):
+        size = "" if length is None else f"{length} "
+        raise ParseError(f"{where} must be a list of {size}numbers, got "
+                         f"{values!r}", field=where)
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
+def _field(sec: dict, key: str, where: str, default=None) -> float:
+    """``sec[key]`` as a finite number; required when ``default`` is None."""
+    if key in sec:
+        return _number(sec[key], f"{where}.{key}")
+    if default is None:
+        raise ParseError(f"{where} requires {key!r}", field=f"{where}.{key}")
+    return default
+
+
+def _circuit_values(sec: dict) -> dict:
+    """Typed values of a ``circuit`` section: finite numbers, three
+    ``Omega``, and ``mode`` as ``(n_max, omega_z, gamma_z)`` with an integer
+    ``n_max``.  Malformed fields raise :class:`ParseError` or
+    :class:`ValidationError` naming the field."""
+    mode = sec.get("mode")
+    if not isinstance(mode, dict):
+        raise ParseError("circuit requires a mode mapping",
+                         field="circuit.mode")
+    n_max = mode.get("n_max")
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
+        raise ParseError(f"circuit.mode.n_max must be an integer, got "
+                         f"{n_max!r}", field="circuit.mode.n_max")
+    v = {key: _field(sec, key, "circuit") for key in
+         ("E_J", "phi_ext", "lambda_1z", "lambda_2z", "lambda_3z")}
+    v.update({key: _field(sec, key, "circuit", 1.0) for key in
+              ("phi0", "phi_z0", "alpha_x", "alpha_y")})
+    v["Omega"] = _numbers(sec.get("Omega"), "circuit.Omega", 3)
+    v["mode"] = (n_max, _field(mode, "omega_z", "circuit.mode"),
+                 _field(mode, "gamma_z", "circuit.mode"))
+    v["phi"] = _field(sec, "phi", "circuit", np.pi / 2)
+    return v
+
+
+def _tone_values(sec: dict) -> dict:
+    """Typed values of a ``tones`` section, checked like
+    :func:`_circuit_values`; ``omega_z`` is required by the dissipative
+    plan only."""
+    plan = sec.get("plan", "dissipative")
+    if plan not in ("dissipative", "coherent"):
+        raise ValidationError(f"unknown tone plan {plan!r}; valid plans: "
+                              "dissipative, coherent")
+    v = {"plan": plan,
+         "Omega": _numbers(sec.get("Omega"), "tones.Omega", 3),
+         "phi_y": (_numbers(sec["phi_y"], "tones.phi_y", 3)
+                   if "phi_y" in sec else (0.0, 0.0, 0.0)),
+         "phi_x1": _field(sec, "phi_x1", "tones", 0.0),
+         "collisions": (None if sec.get("collisions") is None else
+                        _numbers(sec["collisions"], "tones.collisions"))}
+    if plan == "dissipative" or "omega_z" in sec:
+        v["omega_z"] = _field(sec, "omega_z", "tones")
+    return v
 
 
 def check_margin(margin: float) -> float:
@@ -332,6 +418,11 @@ def parse_scenario(text: str) -> Scenario:
                     raise ValidationError(f"sweep gamma must be positive, got {x}")
                 if key == "t" and x < 0:
                     raise ValidationError(f"sweep t must be nonnegative, got {x}")
+
+    if circuit is not None:
+        _circuit_values(circuit)
+    if tones is not None:
+        _tone_values(tones)
 
     return Scenario(name=name, task=task, seed=seed, system=system,
                     coupling=coupling, sweep=sweep, initial=initial,

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,8 +11,8 @@ from emdyn import circuit, liouville, opcore
 from emdyn.errors import (BadEigenindex, DimMismatch, NotDensityMatrix,
                           NotHermitian, ValidationError)
 
-from conftest import (dense_expm_oracle, rand_density, rand_hermitian,
-                      working_point)
+from conftest import (dense_expm_oracle, kron_superop, rand_density,
+                      rand_hermitian, working_point)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -253,6 +254,71 @@ def test_block_route_matches_oracle(case):
     assert np.max(np.abs(opcore.expm_superop_apply(gen, rho0, t) - want)
                   ) <= 1e-10
     assert np.max(np.abs(liouville.propagate(gen, rho0, t) - want)) <= 1e-10
+
+
+@st.composite
+def component_models(draw):
+    """A model block diagonal over a random partition of its d levels.
+
+    The parts (a single part is the dense case) are scattered over the
+    levels by a random permutation.  ``H`` and one or two jumps are random
+    inside each part; one more jump is dense with rate 0, so it must not
+    join the parts.  The state is a random density matrix (every component
+    pair) or one supported on a random subset of the parts (some pairs).
+    Also returns ``H`` plus two non-Hermitian block-diagonal terms.
+    """
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cuts = rng.choice(np.arange(1, d), size=draw(st.integers(0, d - 1)),
+                      replace=False)
+    parts = np.split(rng.permutation(d), np.sort(cuts))
+
+    def block_diagonal(make):
+        op = np.zeros((d, d), dtype=complex)
+        for part in parts:
+            op[np.ix_(part, part)] = make(len(part))
+        return op
+
+    def rand_op(n):
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    h = block_diagonal(lambda n: rand_hermitian(rng, n))
+    jumps = [(block_diagonal(rand_op), 10 ** draw(st.floats(-2.0, 2.0)))
+             for _ in range(draw(st.integers(1, 2)))]
+    jumps.append((rand_op(d), 0.0))
+    me = liouville.MasterEquation(h, tuple(jumps), opcore.HilbertSpace((d,)))
+    if draw(st.booleans()):
+        rho0 = rand_density(rng, d)
+    else:
+        kept = [part for part in parts if rng.random() < 0.5] or parts[:1]
+        sub = np.concatenate(kept)
+        rho0 = np.zeros((d, d), dtype=complex)
+        rho0[np.ix_(sub, sub)] = rand_density(rng, len(sub))
+    # anti-Hermitian terms: a random one in each part, and one multiple of
+    # the identity per part, which no diagonal block of the route can see
+    bad = [h + 1j * block_diagonal(lambda n: rand_hermitian(rng, n)),
+           h + 1j * block_diagonal(lambda n: rng.normal() * np.eye(n))]
+    return me, bad, rho0, draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_models())
+def test_master_equation_route_matches_oracle(case):
+    me, bad, rho0, t = case
+    got = liouville.propagate(me, rho0, t)
+    h = me.hamiltonian
+    gen = kron_superop(h, h, [(L, L, r) for L, r in me.jumps])
+    assert np.max(np.abs(got - dense_expm_oracle(gen, rho0, t))) <= 1e-10
+    assert np.max(np.abs(got - liouville.propagate(me.generator(), rho0, t))
+                  ) <= 1e-10
+    for h in bad:
+        k = (h - h.conj().T) / 2j
+        if np.allclose(k, k[0, 0] * np.eye(len(k))):
+            continue    # a multiple of the identity drops out of [H, rho]
+        bad_me = dataclasses.replace(me, hamiltonian=h)
+        for model in (bad_me, bad_me.generator()):
+            with pytest.raises(ValidationError, match="preserve Hermiticity"):
+                liouville.propagate(model, rho0, 1.0)
 
 
 def test_block_route_skips_unoccupied_blocks():

@@ -1,12 +1,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emdyn import opcore
+from emdyn import liouville, opcore
 from emdyn.errors import (BadFactorIndex, DimMismatch, NotDensityMatrix,
                           NotHermitian)
 
-from conftest import rand_density, rand_hermitian
+from conftest import kron_superop, rand_density, rand_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -81,6 +83,40 @@ def test_dissipator_superop_direct_form(rng):
         ldl = L.conj().T @ L
         want = L @ rho @ L.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
         npt.assert_allclose(got, want, atol=1e-12)
+
+
+def rand_op(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_superop_matches_kron_oracle(a, b, n_jumps, seed):
+    """Two-sided blocks (a ≠ b included), zero-rate jumps among them."""
+    rng = np.random.default_rng(seed)
+    rates = rng.choice([0.0, 0.3, 1.0, 2.5], size=n_jumps)
+    jumps = [(rand_op(rng, a), rand_op(rng, b), r) for r in rates]
+    h_l, h_r = rand_hermitian(rng, a), rand_hermitian(rng, b)
+    got = opcore._superop(h_l, h_r, jumps)
+    assert got.shape == (a * b, a * b)
+    assert np.max(np.abs(got - kron_superop(h_l, h_r, jumps))) <= 1e-13
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_superop_builders_match_kron_oracle(rng, d):
+    h, L1, L2 = rand_hermitian(rng, d), rand_op(rng, d), rand_op(rng, d)
+    npt.assert_allclose(opcore.hamiltonian_superop(h), kron_superop(h, h),
+                        rtol=0, atol=1e-13)
+    z = np.zeros((d, d))
+    npt.assert_allclose(opcore.dissipator_superop(L1),
+                        kron_superop(z, z, [(L1, L1, 1.0)]),
+                        rtol=0, atol=1e-13)
+    me = liouville.MasterEquation(h, ((L1, 0.7), (L2, 0.0)),
+                                  opcore.HilbertSpace((d,)))
+    npt.assert_allclose(me.generator(),
+                        kron_superop(h, h, [(L1, L1, 0.7), (L2, L2, 0.0)]),
+                        rtol=0, atol=1e-13)
 
 
 def test_dissipator_annihilates_trace(rng):

@@ -268,6 +268,16 @@ def test_scenario_rejects_nonfinite_margin():
         parse_scenario(MINIMAL + "margin: .inf\n")
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("eta: 1.0", "eta: .nan", "coupling.eta"),
+    ("gamma: 10.0\n", "gamma: .inf\n", "coupling.gamma"),
+    ("t: [1.0]", "t: [.nan]", "sweep.t"),
+])
+def test_scenario_rejects_nonfinite_numbers(old, new, field):
+    with pytest.raises(ValidationError, match=field):
+        parse_scenario(MINIMAL.replace(old, new))
+
+
 @pytest.mark.parametrize("eta, gammas", [
     (0.0, [10.0, 100.0, 1000.0, 10000.0]),   # zero gaps
     (1.0, [10.0, 100.0, 1000.0]),            # too few gammas
@@ -290,3 +300,56 @@ def test_cli_unfittable_sweep_writes_null(tmp_path, eta, gammas):
 
 def test_cli_missing_file_exits_2(tmp_path):
     assert run_cli("simulate", "--scenario", str(tmp_path / "nope.yaml")) == 2
+
+
+CIRCUIT = (SCENARIO_DIR / "circuit_nonreciprocal.yaml").read_text()
+TONES = (SCENARIO_DIR / "tones_three_qubit.yaml").read_text()
+
+
+@pytest.mark.parametrize("task, text, field", [
+    ("circuit-validate", CIRCUIT.replace("  E_J: 282.842712474619\n", ""),
+     "circuit.E_J"),
+    ("circuit-validate", CIRCUIT.replace("Omega: [5.0, 6.0, 4.0]",
+                                         "Omega: fast"), "circuit.Omega"),
+    ("circuit-validate", CIRCUIT.replace("omega_z: 12.0", "omega_z: fast"),
+     "circuit.mode.omega_z"),
+    ("circuit-validate", CIRCUIT.replace("n_max: 3", "n_max: [3]"),
+     "circuit.mode.n_max"),
+    ("circuit-validate", CIRCUIT.replace("n_max: 3", "n_max: 3.7"),
+     "circuit.mode.n_max"),
+    ("circuit-validate", CIRCUIT.replace("lambda_1z: 0.25", "lambda_1z: .nan"),
+     "circuit.lambda_1z"),
+    ("tones", TONES.replace("Omega: [5.0, 6.0, 4.0]", "Omega: fast"),
+     "tones.Omega"),
+    ("tones", TONES.replace("omega_z: 12.0", "omega_z: fast"),
+     "tones.omega_z"),
+], ids=["missing-E_J", "Omega-fast", "omega_z-fast", "n_max-list",
+        "n_max-fractional", "lambda_1z-nan", "tones-Omega-fast",
+        "tones-omega_z-fast"])
+def test_cli_malformed_section_exits_2(tmp_path, capsys, task, text, field):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert text != (CIRCUIT if task == "circuit-validate" else TONES)
+    rc = run_cli(task, "--scenario", str(bad), "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_builds_circuit_and_tones():
+    params, phi = parse_scenario(CIRCUIT).circuit_params()
+    assert params.mode == circuit.BosonicMode(n_max=3, omega_z=12.0,
+                                              gamma_z=50.0)
+    assert params.Omega == (5.0, 6.0, 4.0) and params.E_J == 282.842712474619
+    assert phi == 1.5707963267948966
+    coherent = parse_scenario(
+        "task: tones\ntones: {plan: coherent, Omega: [5, 6.5, 4], "
+        "phi_y: [0.1, 0.2, 0.3]}\n").tone_plan()
+    assert coherent == circuit.plan_coherent_tones((5.0, 6.5, 4.0),
+                                                   (0.1, 0.2, 0.3))
+    dissipative = parse_scenario(
+        "task: tones\ntones: {Omega: [5, 6.5, 4], omega_z: 12, "
+        "collisions: [17, 1000]}\n").tone_plan()
+    assert dissipative == circuit.plan_dissipative_tones(
+        (5.0, 6.5, 4.0), 12.0, 0.0, (0.0, 0.0, 0.0), collisions=[17.0, 1000.0])
+    assert dissipative.notes == ("derived tone 17 collides with transition 17",)
