@@ -3,22 +3,24 @@ the dissipation-induced drift.
 
 The closure works on traceless skew-Hermitian matrices (``i`` times the
 Hermitian generators, identity component projected out) and returns an
-orthonormal basis under the Hilbert–Schmidt inner product.  New commutators
-are accepted when the residual after projection onto the current basis
-exceeds ``1e-8`` times the commutator's own norm — a scale-invariant rank
-threshold.  The worklist is breadth-first over commutator pairs, so bases are
+orthonormal basis under the real Hilbert–Schmidt inner product.  Rank rule: a
+candidate is accepted when its residual after projection onto the current
+basis exceeds ``1e-8`` times the scale of its *inputs* — a generator's norm
+before its trace is removed, and ``max(‖[a, b]‖, 1)`` for the commutator of
+two unit basis elements — so a commutator that vanishes up to round-off is
+never normalized into a new direction.  Element ``k`` is paired with every
+earlier element in discovery order (breadth-first), so bases are
 deterministic for a given generator order.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .liouville import DissipativeCoupling
-from .opcore import check_hermitian, frob_norm, hs_inner
+from .opcore import check_hermitian
 
 __all__ = [
     "LieBasis", "lie_closure", "is_fully_controllable",
@@ -61,42 +63,32 @@ def lie_closure(generators) -> LieBasis:
         if g.shape[0] != d:
             raise ValidationError("generators must share one dimension")
     max_dim = d * d - 1
+    # row k is the real view of element k; mats[k] is the same memory as d×d
+    rows = np.zeros((max_dim, 2 * d * d))
+    mats = rows.view(complex).reshape(max_dim, d, d)
+    n = 0
 
-    basis: list[np.ndarray] = []
-
-    def try_add(candidate: np.ndarray) -> bool:
-        scale = frob_norm(candidate)
-        if scale == 0.0:
-            return False
-        residual = candidate
+    def try_add(candidate: np.ndarray, scale: float):
+        nonlocal n
+        r = candidate.reshape(-1).view(float)
         for _ in range(2):   # re-orthogonalize: classical GS alone drifts
-            for e in basis:
-                residual = residual - hs_inner(e, residual).real * e
-        if frob_norm(residual) <= _INDEPENDENCE_RTOL * scale:
-            return False
-        basis.append(residual / frob_norm(residual))
-        return True
-
-    pairs: deque[tuple[int, int]] = deque()
-
-    def note_new_element():
-        k = len(basis) - 1
-        for i in range(k):
-            pairs.append((i, k))
+            r -= (rows[:n] @ r) @ rows[:n]
+        norm = np.linalg.norm(r)
+        if n < max_dim and norm > _INDEPENDENCE_RTOL * scale:
+            rows[n] = r / norm
+            n += 1
 
     for g in gens:
-        if try_add(_traceless(1j * g)):
-            note_new_element()
-
-    # Breadth-first worklist over commutator pairs: every unordered pair is
-    # enqueued exactly once, including pairs with elements discovered later.
-    while pairs and len(basis) < max_dim:
-        i, j = pairs.popleft()
-        a, b = basis[i], basis[j]
-        if try_add(a @ b - b @ a):
-            note_new_element()
-
-    return LieBasis(d, tuple(basis), len(basis))
+        try_add(_traceless(1j * g), np.linalg.norm(g))
+    k = 1
+    while k < n < max_dim:
+        for i in range(k):
+            if n == max_dim:
+                break
+            comm = mats[i] @ mats[k] - mats[k] @ mats[i]
+            try_add(comm, max(np.linalg.norm(comm), 1.0))
+        k += 1
+    return LieBasis(d, tuple(m.copy() for m in mats[:n]), n)
 
 
 def is_fully_controllable(basis: LieBasis) -> bool:

@@ -29,6 +29,19 @@ _PAULI = {
     "sz": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+# libyaml's safe loader builds the same documents several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class _Dumper(yaml.SafeDumper):
+    """PyYAML writes NEL (U+0085) raw into plain and single-quoted scalars,
+    where loading folds it into a space; strings holding it go double-quoted,
+    where it is escaped."""
+
+
+_Dumper.add_representer(str, lambda dumper, s: dumper.represent_scalar(
+    "tag:yaml.org,2002:str", s, style='"' if "\x85" in s else None))
+
 _TOP_LEVEL_KEYS = {"name", "task", "seed", "system", "coupling", "sweep",
                    "initial", "output", "margin", "circuit", "tones"}
 
@@ -192,15 +205,21 @@ def _parse_pauli_string(text: str, where: str) -> np.ndarray:
 
 def parse_operator(spec, where: str, hermitian: bool = True) -> np.ndarray:
     """Resolve an operator spec (Pauli string or nested list) to a matrix."""
-    if isinstance(spec, str):
-        mat = _parse_pauli_string(spec, where)
-    elif isinstance(spec, list):
-        mat = _parse_dense(spec, where)
-    else:
-        raise ParseError(f"operator spec must be a string or matrix, got "
-                         f"{type(spec).__name__}", field=where)
-    if hermitian and not np.allclose(mat, mat.conj().T, atol=1e-12):
-        raise NotHermitian(f"operator {where} is not Hermitian")
+    # a non-finite coefficient, or a term or sum that overflows, is reported
+    # below as a ParseError instead of a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(spec, str):
+            mat = _parse_pauli_string(spec, where)
+        elif isinstance(spec, list):
+            mat = _parse_dense(spec, where)
+        else:
+            raise ParseError(f"operator spec must be a string or matrix, got "
+                             f"{type(spec).__name__}", field=where)
+        if not np.isfinite(mat).all():
+            raise ParseError(f"operator {where} has non-finite entries",
+                             field=where)
+        if hermitian and not np.allclose(mat, mat.conj().T, atol=1e-12):
+            raise NotHermitian(f"operator {where} is not Hermitian")
     return mat
 
 
@@ -339,7 +358,7 @@ def check_margin(margin: float) -> float:
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
@@ -444,5 +463,5 @@ def emit_scenario(scenario: Scenario) -> str:
         val = getattr(scenario, key)
         if val is not None:
             doc[key] = val
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False,
-                          allow_unicode=True)
+    return yaml.dump(doc, Dumper=_Dumper, sort_keys=True,
+                     default_flow_style=False, allow_unicode=True)

@@ -1,11 +1,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emdyn import control, liouville
 from emdyn.errors import ValidationError
 
-from conftest import rand_hermitian
+from conftest import (ising_chain, mgs_lie_closure, pauli_string,
+                      rand_hermitian, svd_rank_closure)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -45,6 +48,55 @@ def test_ising_drift_with_collective_control():
     basis = control.lie_closure([zz, collective_x])
     assert basis.dimension == 4
     assert not control.is_fully_controllable(basis)
+
+
+@pytest.mark.parametrize("n, dim", [(2, 4), (3, 9), (4, 16)])
+def test_ising_chain_rejects_round_off_commutators(n, dim):
+    # many of the chain's commutators vanish up to round-off; none of them
+    # may become a direction
+    basis = control.lie_closure(ising_chain(n))
+    assert basis.dimension == dim == svd_rank_closure(ising_chain(n))
+
+
+@st.composite
+def pauli_generator_sets(draw):
+    """1–3 generators on 1–3 qubits, each a sum of 1–3 Pauli strings
+    (identity strings included) with coefficients from a small set, so many
+    sets close to a proper subalgebra."""
+    n = draw(st.integers(1, 3))
+    strings = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    coeff = st.sampled_from([1.0, -1.0, 0.5, 2.0, 0.3])
+    terms = st.lists(st.tuples(coeff, strings), min_size=1, max_size=3)
+    return [sum(c * pauli_string(labels) for c, labels in draw(terms))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_generator_sets())
+def test_closure_dimension_matches_svd_oracle(gens):
+    assert control.lie_closure(gens).dimension == svd_rank_closure(gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1))
+def test_closure_matches_loop_oracle(d, seed):
+    rng = np.random.default_rng(seed)
+    gens = [rand_hermitian(rng, d), rand_hermitian(rng, d)]
+    got = control.lie_closure(gens).elements
+    want = mgs_lie_closure(gens)
+    assert len(got) == len(want)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(got, want)) <= 1e-10
+
+
+def test_su16_basis_is_orthonormal_skew_hermitian(rng):
+    basis = control.lie_closure([rand_hermitian(rng, 16), rand_hermitian(rng, 16)])
+    assert basis.dimension == 255
+    elems = np.array(basis.elements)
+    assert np.max(np.abs(np.trace(elems, axis1=1, axis2=2))) <= 1e-10
+    assert np.max(np.abs(elems + elems.conj().transpose(0, 2, 1))) <= 1e-10
+    flat = elems.reshape(len(elems), -1)
+    gram = (flat.conj() @ flat.T).real
+    assert np.max(np.abs(gram - np.eye(len(elems)))) <= 1e-10
 
 
 def test_random_pairs_generically_controllable(rng):

@@ -4,11 +4,14 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emdyn import cli, circuit
 from emdyn.errors import NotHermitian, ParseError, ValidationError
-from emdyn.scenario import (emit_scenario, parse_operator, parse_scenario,
-                            parse_state)
+from emdyn.scenario import (VALID_TASKS, emit_scenario, parse_operator,
+                            parse_scenario, parse_state)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -46,6 +49,65 @@ def test_round_trip_all_sample_scenarios():
     for path in sorted(SCENARIO_DIR.glob("*.yaml")):
         s = parse_scenario(path.read_text())
         assert parse_scenario(emit_scenario(s)) == s, path.name
+
+
+@st.composite
+def scenario_docs(draw):
+    """A valid scenario document as a mapping: every top-level section is
+    optional, names are free text, numbers span several decades."""
+    finite = st.floats(-1e6, 1e6)
+    pauli = st.sampled_from(["sx", "sy", "sz", "id"])
+    qubit_ops = st.one_of(
+        st.builds(lambda c, p, q: f"{c}*{p} - {q}", finite, pauli, pauli),
+        st.builds(lambda a, b, c: [[a, b], [b, c]], finite, finite, finite))
+    doc = {"name": draw(st.text(max_size=20)),
+           "task": draw(st.sampled_from(VALID_TASKS)),
+           "seed": draw(st.integers(0, 2 ** 31))}
+    sections = {
+        "system": st.fixed_dictionaries(
+            {"operators": st.fixed_dictionaries({"A": qubit_ops,
+                                                 "B": qubit_ops})},
+            optional={"controls": st.lists(qubit_ops, max_size=2),
+                      "lambda_a": finite}),
+        "coupling": st.fixed_dictionaries(
+            {"gamma": st.floats(1e-3, 1e6)},
+            optional={"eta": st.floats(0.0, 1e6),
+                      "phi": st.floats(-np.pi, np.pi), "g": finite}),
+        "sweep": st.fixed_dictionaries(
+            {"t": st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3)},
+            optional={"gamma": st.lists(st.floats(1e-3, 1e6), min_size=1,
+                                        max_size=3)}),
+        "initial": st.dictionaries(
+            st.sampled_from(["rho1", "rho2", "psi0"]),
+            st.one_of(st.sampled_from(["0", "1", "+", "-"]),
+                      st.lists(finite, min_size=2, max_size=2))),
+        "output": st.fixed_dictionaries({"path": st.text(max_size=20)}),
+        "margin": st.floats(1e-3, 1e6)}
+    for key, section in sections.items():
+        if draw(st.booleans()):
+            doc[key] = draw(section)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_docs(), st.sampled_from([None, False, True]))
+def test_libyaml_and_python_loaders_agree(doc, flow):
+    text = yaml.safe_dump(doc, default_flow_style=flow, allow_unicode=True)
+    fast = yaml.load(text, Loader=yaml.CSafeLoader)
+    slow = yaml.load(text, Loader=yaml.SafeLoader)
+    assert fast == slow
+    assert repr(fast) == repr(slow)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_docs())
+@example({"name": "a\x85b", "task": "simulate", "seed": 0})
+def test_round_trip_generated_scenarios(doc):
+    # without allow_unicode every non-ASCII character is escaped, so the
+    # parsed scenario holds exactly the generated strings
+    s = parse_scenario(yaml.safe_dump(doc))
+    assert s.name == doc["name"]
+    assert parse_scenario(emit_scenario(s)) == s
 
 
 def test_misspelled_task_names_valid_tasks():
@@ -112,6 +174,34 @@ def test_pauli_complex_coefficients():
     for bad in ("(1+*sx", "(1+", "(1+0j))*sx"):
         with pytest.raises(ParseError):
             parse_operator(bad, "x")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text", [
+    "inf*sz", "nan*sx", "1e309*sz", "infj*sx",
+    "1e308*sz⊗sz + 1e308*sz⊗sz",            # the sum overflows
+    "-1e308*sz - 1e308*sz"])
+def test_pauli_nonfinite_rejected(text):
+    with pytest.raises(ParseError, match="system.operators.B"):
+        parse_operator(text, "system.operators.B")
+
+
+PAULI_TOKENS = ["sx", "sy", "sz", "id", "SX", "⊗", "+", "-", "−", "*", "(",
+                ")", "0", "1", "0.5", "2", "e", "j", "inf", "nan", "1e308",
+                ".", " "]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PAULI_TOKENS), min_size=1, max_size=12))
+def test_pauli_parser_fuzz(tokens):
+    # at most 12 tokens keeps a Kronecker chain at 2**6 levels
+    try:
+        mat = parse_operator("".join(tokens), "x")
+    except (ParseError, ValidationError):
+        return
+    assert np.isfinite(mat).all()
+    npt.assert_allclose(mat, mat.conj().T, atol=1e-12)
 
 
 def test_cli_anti_hermitian_pauli_exits_2(tmp_path, capsys):
@@ -200,6 +290,34 @@ def test_cli_controllability(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["dim_without_drift"] == 1
     assert report["dim_with_drift"] == 4
+
+
+ISING_CHAIN = """
+task: controllability
+system:
+  operators:
+    A: sz
+    B: sz⊗sz⊗id + id⊗sz⊗sz
+  controls:
+    - sx⊗id⊗id + id⊗sx⊗id + id⊗id⊗sx
+coupling:
+  gamma: 10.0
+  eta: 0.5
+  phi: 1.5707963267948966
+  g: 0.5
+"""
+
+
+def test_cli_controllability_ising_chain(tmp_path):
+    # the uniform 3-qubit chain closes to 9 dimensions, far from su(8)'s 63
+    doc = tmp_path / "chain.yaml"
+    doc.write_text(ISING_CHAIN, encoding="utf-8")
+    rc = run_cli("controllability", "--scenario", str(doc),
+                 "--out", str(tmp_path / "out"))
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["dim_with_drift"] == 9
+    assert report["fully_controllable_with"] is False
 
 
 def test_cli_bounds(tmp_path):
