@@ -171,15 +171,20 @@ def pairs(args) -> dict:
     return {key: {"pairs": args.pairs, "summary": summary, "runs": runs}}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("scaling")
+def add_pairs_parser(sub) -> None:
+    """The ``pairs`` subcommand's options, shared by the BENCH scripts."""
     p = sub.add_parser("pairs")
     p.add_argument("--parent", required=True)
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--pairs", type=int, default=10)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub.add_parser("scaling")
+    add_pairs_parser(sub)
     args = parser.parse_args(argv)
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data.update(scaling(args) if args.cmd == "scaling" else pairs(args))

@@ -2,7 +2,7 @@
 wall times and perfbench medians, written to the JSON file named by ``OUT``.
 
     python benchmarks/lie_scaling.py scaling
-    python benchmarks/lie_scaling.py e2e --parent DIR [--repeats K]
+    python benchmarks/lie_scaling.py e2e --parent DIR
     python benchmarks/lie_scaling.py pairs --parent DIR --workload NAME \
         --seed N --pairs K
 
@@ -16,9 +16,9 @@ controllability scenarios of perfbench's ``mode_elimination`` cycles 0–2 at
 seeds 3 and 9001 from ``perfbench/workloads.py`` and checks both closure
 dimensions of each against the SVD oracle.  ``e2e`` records the two
 end-to-end numbers: the CLI's wall time per sample scenario (a fresh
-interpreter per run, median of K) and the Tier-1 suite's wall time (median of
-K), on the parent checkout ``DIR`` and on this one, alternating which runs
-first.  ``pairs`` is ``benchmarks/block_scaling.py``'s alternating perfbench
+interpreter per run) and the Tier-1 suite's wall time, each the median of
+``REPEATS`` runs, on the parent checkout ``DIR`` and on this one, alternating
+which runs first.  ``pairs`` is ``benchmarks/block_scaling.py``'s alternating perfbench
 runner.  Each subcommand updates its own key of the JSON file and the machine
 info.  BLAS is pinned to one thread in this process and in the runs it
 starts.  Exit status 1 when a dimension disagrees with the oracle.
@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 
 import block_scaling  # pins BLAS to one thread before numpy loads
-from block_scaling import machine, pairs, timed
+from block_scaling import add_pairs_parser, machine, pairs, timed
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from conftest import (ising_chain, mgs_lie_closure, rand_hermitian,  # noqa: E40
 from emdyn import control, scenario  # noqa: E402
 
 OUT = ROOT / "BENCH_7.json"
+REPEATS = 5
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -133,7 +134,7 @@ def e2e(args) -> dict:
     cli_ms = {side: {p.name: [] for p in samples} for side in sides}
     tier1 = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
-        for k in range(args.repeats):
+        for k in range(REPEATS):
             order = list(sides) if k % 2 == 0 else list(sides)[::-1]
             for side in order:
                 env = dict(os.environ, PYTHONPATH=str(sides[side] / "src"))
@@ -151,7 +152,7 @@ def e2e(args) -> dict:
                                     out.stdout.strip().splitlines()[-1]})
                 print(json.dumps({side: tier1[side][-1]}), flush=True)
     return {"e2e": {
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "cli_ms_median": {side: {name: round(statistics.median(v), 1)
                                  for name, v in per.items()}
                           for side, per in cli_ms.items()},
@@ -164,14 +165,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
     sub.add_parser("scaling")
-    p = sub.add_parser("e2e")
-    p.add_argument("--parent", required=True)
-    p.add_argument("--repeats", type=int, default=5)
-    p = sub.add_parser("pairs")
-    p.add_argument("--parent", required=True)
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--pairs", type=int, default=10)
+    sub.add_parser("e2e").add_argument("--parent", required=True)
+    add_pairs_parser(sub)
     args = parser.parse_args(argv)
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
     result = {"scaling": scaling, "e2e": e2e, "pairs": pairs}[args.cmd](args)

@@ -8,9 +8,11 @@ candidate is accepted when its residual after projection onto the current
 basis exceeds ``1e-8`` times the scale of its *inputs* — a generator's norm
 before its trace is removed, and ``max(‖[a, b]‖, 1)`` for the commutator of
 two unit basis elements — so a commutator that vanishes up to round-off is
-never normalized into a new direction.  Element ``k`` is paired with every
-earlier element in discovery order (breadth-first), so bases are
-deterministic for a given generator order.
+never normalized into a new direction.  The price is a fixed resolution: a
+commutator of two unit elements with norm below ``1e-8`` is treated as zero,
+even when it is exact (``Z⊗I`` and ``I⊗Z + 1e-9·X⊗I`` close to 2 dimensions,
+not 4).  Element ``k`` is paired with every earlier element in discovery
+order (breadth-first), so bases are deterministic for a given generator order.
 """
 from __future__ import annotations
 
@@ -63,18 +65,23 @@ def lie_closure(generators) -> LieBasis:
         if g.shape[0] != d:
             raise ValidationError("generators must share one dimension")
     max_dim = d * d - 1
-    # row k is the real view of element k; mats[k] is the same memory as d×d
-    rows = np.zeros((max_dim, 2 * d * d))
-    mats = rows.view(complex).reshape(max_dim, d, d)
+    # row k is the real view of element k; mats[k] is the same memory as d×d.
+    # The buffer doubles when full, so a small algebra at large d stays small.
+    rows = np.zeros((min(max_dim, max(64, 2 * len(gens))), 2 * d * d))
+    mats = rows.view(complex).reshape(-1, d, d)
     n = 0
 
     def try_add(candidate: np.ndarray, scale: float):
-        nonlocal n
+        nonlocal n, rows, mats
         r = candidate.reshape(-1).view(float)
         for _ in range(2):   # re-orthogonalize: classical GS alone drifts
             r -= (rows[:n] @ r) @ rows[:n]
         norm = np.linalg.norm(r)
         if n < max_dim and norm > _INDEPENDENCE_RTOL * scale:
+            if n == len(rows):
+                grow = np.zeros((min(n, max_dim - n), rows.shape[1]))
+                rows = np.concatenate([rows, grow])
+                mats = rows.view(complex).reshape(-1, d, d)
             rows[n] = r / norm
             n += 1
 

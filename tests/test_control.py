@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -57,6 +59,27 @@ def test_ising_chain_rejects_round_off_commutators(n, dim):
     basis = control.lie_closure(ising_chain(n))
     assert basis.dimension == dim == svd_rank_closure(ising_chain(n))
 
+
+
+def test_small_closure_at_large_d_stays_small():
+    # 6-qubit chain, d = 64: the basis buffer grows with the algebra, so a
+    # 36-dimensional closure never reserves a (d²−1, 2d²) array (268 MB)
+    tracemalloc.start()
+    try:
+        basis = control.lie_closure(ising_chain(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.dimension == 36
+    assert peak < 32e6
+
+
+@pytest.mark.parametrize("eps, dim", [(1e-9, 2), (1e-7, 4)])
+def test_commutator_resolution_limit(eps, dim):
+    # the input-scale rule treats a commutator of two unit elements with
+    # norm below 1e-8 as zero, exact or not: a recorded resolution limit
+    zi, iz, xi = (pauli_string(s) for s in ([3, 0], [0, 3], [1, 0]))
+    assert control.lie_closure([zi, iz + eps * xi]).dimension == dim
 
 @st.composite
 def pauli_generator_sets(draw):

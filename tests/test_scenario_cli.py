@@ -8,7 +8,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emdyn import cli, circuit
+from emdyn import cli, circuit, scenario
 from emdyn.errors import NotHermitian, ParseError, ValidationError
 from emdyn.scenario import (VALID_TASKS, emit_scenario, parse_operator,
                             parse_scenario, parse_state)
@@ -93,7 +93,7 @@ def scenario_docs(draw):
 @given(scenario_docs(), st.sampled_from([None, False, True]))
 def test_libyaml_and_python_loaders_agree(doc, flow):
     text = yaml.safe_dump(doc, default_flow_style=flow, allow_unicode=True)
-    fast = yaml.load(text, Loader=yaml.CSafeLoader)
+    fast = yaml.load(text, Loader=scenario._LOADER)
     slow = yaml.load(text, Loader=yaml.SafeLoader)
     assert fast == slow
     assert repr(fast) == repr(slow)
