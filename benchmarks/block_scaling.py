@@ -1,7 +1,7 @@
 """Block-route scaling curve and perfbench medians, written to the JSON file
 named by ``OUT``.
 
-    python benchmarks/block_scaling.py scaling
+    python benchmarks/block_scaling.py scaling [--parent DIR]
     python benchmarks/block_scaling.py pairs --parent DIR --workload NAME \
         --seed N --pairs K
 
@@ -13,7 +13,15 @@ n_max 4, 6, 8 and the ring-modulator (JRM) ``propagate`` of its dense
 generator at n_max 2, 3, 4 (the operating point of
 ``tests/conftest.py::working_point``).  The same JRM generator's
 Kronecker-product build (``tests/conftest.py::kron_superop``) is timed
-against ``MasterEquation.generator``, both best of three.  ``pairs`` runs
+against ``MasterEquation.generator``, both best of three.  The pulsed
+gates' rotated frame at d2 = 2, 4, 8 is timed against its per-substep loop
+(``tests/conftest.py::rotated_frame_loop``, run once).  The dense
+``propagate`` call at D = 4 and 8 is timed for a generator with no exact
+zeros and for ``validate_elimination``'s eliminated model, which has some,
+against the complex ``expm`` oracle; here the library side is the median of
+``DENSE_REPEATS`` calls.  With ``--parent DIR`` every library call is also
+timed on the parent checkout's ``emdyn`` (imported as ``emdyn_parent``),
+alternating call by call, as ``parent_ms``.  ``pairs`` runs
 ``perfbench/run.py`` K times on the parent checkout ``DIR`` and on this
 checkout, alternating which runs first, and records every run and each
 side's median and quartiles.  Each subcommand updates its own key of the
@@ -23,6 +31,7 @@ process and in the runs it starts.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -42,11 +51,13 @@ import scipy  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
-from conftest import kron_superop, working_point  # noqa: E402
-from emdyn import circuit, liouville, opcore  # noqa: E402
+import emdyn  # noqa: E402
+from conftest import (kron_superop, rand_hermitian,  # noqa: E402
+                      rotated_frame_loop, working_point)
 from perfbench import reference  # noqa: E402
 
-OUT = ROOT / "BENCH_5.json"
+OUT = ROOT / "BENCH_8.json"
+DENSE_REPEATS = 2000
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -75,65 +86,142 @@ def timed(fn, repeats=1):
     return 1e3 * best, out
 
 
-def elimination_point(n_max):
+def alternated(fns, repeats, stat=min):
+    """``stat`` of each callable's times in ms, the calls alternating."""
+    times = [[] for _ in fns]
+    for _ in range(repeats):
+        for fn, ts in zip(fns, times):
+            t0 = time.perf_counter()
+            fn()
+            ts.append(time.perf_counter() - t0)
+    return [1e3 * stat(ts) for ts in times]
+
+
+def load_parent(path):
+    """The ``emdyn`` package of the checkout at ``path``, as ``emdyn_parent``."""
+    pkg = Path(path).resolve() / "src" / "emdyn"
+    spec = importlib.util.spec_from_file_location(
+        "emdyn_parent", pkg / "__init__.py",
+        submodule_search_locations=[str(pkg)])
+    mod = sys.modules["emdyn_parent"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def elimination_point(em, n_max):
     """Criterion 07's model at gamma_a = 100, the middle of its sweep."""
     gamma_a, t, phi1, phi2 = 100.0, 2.0, 0.1, 0.7
     lam1 = np.sqrt(0.6 * gamma_a) / 2
     lam2 = 0.5 * lam1
     plus = np.full((2, 2), 0.5, dtype=complex)
     rho0 = np.kron(plus, plus)
-    L = circuit.adiabatic_eliminate(lam1, lam2, phi1, phi2, gamma_a, SZ, SX)
-    full = circuit.build_system_bath(
-        circuit.SystemBathParams(lam1, lam2, gamma_a, n_max=n_max),
+    L = em.circuit.adiabatic_eliminate(lam1, lam2, phi1, phi2, gamma_a, SZ, SX)
+    full = em.circuit.build_system_bath(
+        em.circuit.SystemBathParams(lam1, lam2, gamma_a, n_max=n_max),
         SZ, SX, (phi1, phi2))
     return (lambda: reference.system_bath_distance(
                 lam1, lam2, gamma_a, phi1, phi2, SZ, SX, n_max, rho0, t),
-            lambda: circuit.validate_elimination(full, L, rho0, t))
+            lambda: em.circuit.validate_elimination(full, L, rho0, t))
 
 
-def jrm_model(n_max):
+def jrm_model(em, n_max):
     """Criterion 09's forward model at gamma_z = 50 (a builder), its time."""
     params = working_point(gamma_z=50.0, n_max=n_max)
-    ec = circuit.effective_coupling_constants(params)
-    tones = circuit.plan_dissipative_tones(
+    ec = em.circuit.effective_coupling_constants(params)
+    tones = em.circuit.plan_dissipative_tones(
         params.Omega, params.mode.omega_z, 0.0,
         (0.0, 1.5 * np.pi, 1.5 * np.pi))
-    return (lambda: circuit.build_jrm_effective(params, tones,
-                                                include_three_body=True),
+    return (lambda: em.circuit.build_jrm_effective(params, tones,
+                                                   include_three_body=True),
             1.0 / (2.0 * ec.gamma_eff * ec.eta_over_gamma))
 
 
-def jrm_point(n_max):
+def jrm_point(em, n_max):
     """Criterion 09's forward propagation."""
-    model, t = jrm_model(n_max)
-    rho0 = opcore.tensor([P0, P0, P0, circuit.fock_vacuum(n_max + 1)])
+    model, t = jrm_model(em, n_max)
+    rho0 = em.opcore.tensor([P0, P0, P0, em.circuit.fock_vacuum(n_max + 1)])
     return (lambda: reference.evolve(model().generator(), rho0, t),
-            lambda: liouville.propagate(model().generator(), rho0, t))
+            lambda: em.liouville.propagate(model().generator(), rho0, t))
 
 
-def jrm_build(n_max):
+def jrm_build(em, n_max):
     """The generator of ``jrm_point``'s model: Kronecker build vs assembler."""
-    me = jrm_model(n_max)[0]()
+    me = jrm_model(em, n_max)[0]()
     h = me.hamiltonian
     return (lambda: kron_superop(h, h, [(L, L, r) for L, r in me.jumps]),
             me.generator)
 
 
+def pulsed_task(em, d2):
+    """A perfbench-like pulsed gate task on d2 levels (one segment)."""
+    rng = np.random.default_rng([8, d2])
+    A, B, h = (rand_hermitian(rng, d) for d in (2, d2, d2))
+    c = em.liouville.DissipativeCoupling(A=A / np.abs(A).sum(0).max(),
+                                         B=B / np.abs(B).sum(0).max(),
+                                         gamma=20.0, eta=0.6, phi=np.pi / 2)
+    pulse = em.liouville.ControlPulse(
+        segments=((1.0, (1.0,)),), hamiltonians=(h / np.abs(h).sum(0).max(),))
+    psi0 = np.eye(d2)[0].astype(complex)
+    return em.bounds.make_gate_task(c, psi0, 1.0, pulse=pulse)
+
+
+def rotated_frame(em, d2):
+    """The rotated-frame marginal: per-substep loop vs one expm per segment."""
+    task = pulsed_task(em, d2)
+    return (lambda: rotated_frame_loop(task)[0],
+            lambda: em.bounds.rotated_frame_marginal(task)[0])
+
+
+def dense_call(em, d, kind):
+    """One dense ``propagate`` on d levels: a dissipator with no exact zeros,
+    or ``validate_elimination``'s eliminated model (exact zeros), as in
+    perfbench's ``sb.n4`` items at d = 4."""
+    rng = np.random.default_rng([8, d])
+    if kind == "no_zero":
+        L = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        gen = em.opcore.dissipator_superop(L / np.abs(L).sum(0).max())
+    else:
+        B = rand_hermitian(rng, d // 2)
+        gen = em.opcore.dissipator_superop(em.circuit.adiabatic_eliminate(
+            5.0, 2.5, 0.1, 0.7, 100.0, SZ, B / np.abs(B).sum(0).max()))
+    rho0 = np.eye(d, dtype=complex) / d
+    rho0[0, 1] = rho0[1, 0] = 0.5 / d
+    return (lambda: reference.evolve(gen, rho0, 2.0),
+            lambda: em.liouville.propagate(gen, rho0, 2.0))
+
+
+CASES = (
+    # kind, maker, sizes, oracle repeats, library repeats (None: the median
+    # of DENSE_REPEATS calls)
+    ("validate_elimination", elimination_point, (4, 6, 8), 1, 3),
+    ("jrm_propagate", jrm_point, (2, 3, 4), 1, 3),
+    ("jrm_generator_build", jrm_build, (2, 3, 4), 3, 3),
+    ("rotated_frame", rotated_frame, (2, 4, 8), 1, 3),
+    ("dense_call.no_zero", lambda em, d: dense_call(em, d, "no_zero"),
+     (4, 8), 3, None),
+    ("dense_call.elimination", lambda em, d: dense_call(em, d, "elim"),
+     (4, 8), 3, None),
+)
+
+
 def scaling(args) -> dict:
+    parent = load_parent(args.parent) if args.parent else None
     rows = []
-    for kind, make, sizes, repeats in (
-            ("validate_elimination", elimination_point, (4, 6, 8), 1),
-            ("jrm_propagate", jrm_point, (2, 3, 4), 1),
-            ("jrm_generator_build", jrm_build, (2, 3, 4), 3)):
-        for n_max in sizes:
-            oracle, library = make(n_max)
-            oracle_ms, want = timed(oracle, repeats)
-            library_ms, got = timed(library, 3)
-            rows.append({"kind": kind, "n_max": n_max,
-                         "oracle_ms": round(oracle_ms, 2),
-                         "library_ms": round(library_ms, 2),
-                         "max_abs_diff": float(np.max(np.abs(
-                             np.asarray(got) - np.asarray(want))))})
+    for kind, make, sizes, oracle_repeats, repeats in CASES:
+        for n in sizes:
+            oracle, library = make(emdyn, n)
+            oracle_ms, want = timed(oracle, oracle_repeats)
+            got = library()
+            fns = [library] + ([make(parent, n)[1]] if parent else [])
+            ms = (alternated(fns, repeats) if repeats else
+                  alternated(fns, DENSE_REPEATS, statistics.median))
+            row = {"kind": kind, "n": n, "oracle_ms": round(oracle_ms, 3),
+                   "library_ms": round(ms[0], 3),
+                   "max_abs_diff": float(np.max(np.abs(
+                       np.asarray(got) - np.asarray(want))))}
+            if parent:
+                row["parent_ms"] = round(ms[1], 3)
+            rows.append(row)
             print(json.dumps(rows[-1]), flush=True)
     return {"scaling": rows}
 
@@ -183,7 +271,7 @@ def add_pairs_parser(sub) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("scaling")
+    sub.add_parser("scaling").add_argument("--parent")
     add_pairs_parser(sub)
     args = parser.parse_args(argv)
     data = json.loads(OUT.read_text()) if OUT.exists() else {}

@@ -18,9 +18,8 @@ from .opcore import (HilbertSpace, SpectralDecomposition, dissipator_superop,
                      expm, hamiltonian_superop, herm_eig, hs_inner,
                      partial_trace, tensor, trace_distance, unvec, vec)
 from .liouville import (ControlPulse, DissipativeCoupling, MasterEquation,
-                        build_full_generator, cascaded_generator,
-                        expanded_generator, propagate, propagate_controlled,
-                        reduced_s1_generator, reduced_s2_generator)
+                        build_full_generator, propagate, propagate_controlled,
+                        reduced_s2_generator)
 from .emergent import (UnitaryMixture, apply_mixture, equivalence_gap,
                        fit_power_law, gamma_scaling_fit,
                        nonreciprocity_report, scaling_exponent,
@@ -29,9 +28,9 @@ from .control import (LieBasis, controllability_delta,
                       dissipation_induced_drift, is_fully_controllable,
                       lie_closure)
 from .bounds import (GateTask, drift_coefficient, empirical_error,
-                     error_upper_bound, error_upper_bound_absorbed,
-                     exact_error_commuting, gamma_threshold, make_gate_task,
-                     rotated_frame_marginal, s1_eigenstate)
+                     error_upper_bound, exact_error_commuting,
+                     gamma_threshold, make_gate_task, rotated_frame_marginal,
+                     s1_eigenstate)
 from .circuit import (BosonicMode, CircuitParams, EffectiveCoupling,
                       SystemBathParams, ToneSet, adiabatic_eliminate,
                       build_jrm_effective, build_system_bath,

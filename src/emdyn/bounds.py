@@ -12,8 +12,7 @@ gate.
 
 Conventions: the bound is evaluated in the *factored* form
 ``(t eta^2 / 2 gamma) (opnorm(B)^2 + opnorm(B^2))`` where ``B`` is the bare
-coupling operator; the *absorbed* convention rescales ``B_tilde = eta B`` and
-drops the ``eta^2`` factor.  Both are exposed and agree by construction.
+coupling operator.
 """
 from __future__ import annotations
 
@@ -23,15 +22,15 @@ import numpy as np
 
 from . import opcore
 from .errors import RequiresNoPulse, ValidationError
-from .liouville import (ControlPulse, DissipativeCoupling, propagate,
-                        propagate_controlled)
+from .liouville import (ControlPulse, DissipativeCoupling, _check_generator,
+                        _checked_states, propagate, propagate_controlled)
 from .opcore import (dissipator_superop, herm_eig, partial_trace, tensor)
 
 __all__ = [
     "GateTask", "make_gate_task",
     "exact_error_commuting", "gamma_threshold", "error_upper_bound",
     "empirical_error", "drift_coefficient", "s1_eigenstate",
-    "absorb_eta", "error_upper_bound_absorbed", "rotated_frame_marginal",
+    "rotated_frame_marginal",
 ]
 
 
@@ -180,20 +179,6 @@ def error_upper_bound(task: GateTask) -> float:
     return float(task.t * c.eta ** 2 / (2 * c.gamma) * (bnorm ** 2 + b2norm))
 
 
-def absorb_eta(b: np.ndarray, eta: float) -> np.ndarray:
-    """Convert the bare coupling operator to the eta-absorbed convention."""
-    return eta * np.asarray(b, dtype=complex)
-
-
-def error_upper_bound_absorbed(t: float, gamma: float,
-                               b_absorbed: np.ndarray) -> float:
-    """The same bound in the absorbed convention: ``(t/2 gamma)(...)``."""
-    w = np.linalg.eigvalsh(b_absorbed)
-    bnorm = float(np.max(np.abs(w)))
-    b2norm = float(np.max(np.abs(np.linalg.eigvalsh(b_absorbed @ b_absorbed))))
-    return float(t / (2.0 * gamma) * (bnorm ** 2 + b2norm))
-
-
 # --------------------------------------------------------------------------
 # simulation
 # --------------------------------------------------------------------------
@@ -228,7 +213,11 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
     unitary.  S1 starts in an eigenstate of ``A`` with eigenvalue ``lam``
     and stays there, so S2 evolves alone under the jump
     ``sqrt(gamma) (lam − i gamma^{-1} Btilde(t))``.  The time dependence is
-    handled by midpoint-frozen substeps.
+    handled by midpoint-frozen substeps (the exponential-midpoint rule).
+    The jump at a midpoint ``V`` is ``V† M V`` with ``M = sqrt(gamma) (lam −
+    i gamma^{-1} eta B)``, so a substep is ``rho ↦ V† E(V rho V†) V`` with
+    ``E = exp(tau D[M])``: one ``expm`` per segment.  :func:`propagate`'s
+    checks run on ``D[M]`` and on the stack of every substep's state.
     Returns ``(rho2_rotated, V_total)``; undoing the rotation on the
     lab-frame marginal must reproduce ``rho2_rotated`` (a consistency check
     on the rotating-frame construction used for pulsed targets).
@@ -238,19 +227,26 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
         raise ValidationError("rotated-frame route is for pulsed tasks")
     if c.g != 0:
         raise ValidationError("rotated-frame route assumes g == 0")
-    b_abs = absorb_eta(c.B, c.eta)
     lam = herm_eig(c.A).eigenvalues[task.a_eigenindex]
+    d = c.d2
+    gen = dissipator_superop(np.sqrt(c.gamma) * lam * np.eye(d) - np.exp(
+        1j * c.phi) * c.eta / np.sqrt(c.gamma) * c.B)
+    _check_generator(gen, d)
     rho = np.outer(task.psi0, task.psi0.conj())
-    l0 = np.sqrt(c.gamma) * lam * np.eye(c.d2)
-    b_scale = np.exp(1j * c.phi) / np.sqrt(c.gamma)
-    v = np.eye(c.d2, dtype=complex)
+    v = np.eye(d, dtype=complex)
     for k, (dur, _) in enumerate(task.pulse.segments):
         # V(s) = Q exp(-i s w) Qᴴ V for the segment Hamiltonian Q diag(w) Qᴴ
         w, q = np.linalg.eigh(task.pulse.segment_hamiltonian(k))
         tau = dur / substeps
         phases = np.exp(-1j * np.outer(tau * (np.arange(substeps) + 0.5), w))
         v_mid = (q * phases[:, None, :]) @ (q.conj().T @ v)
-        for b_rot in v_mid.conj().transpose(0, 2, 1) @ b_abs @ v_mid:
-            rho = propagate(dissipator_superop(l0 - b_scale * b_rot), rho, tau)
+        step = opcore.expm(gen, tau)
+        states = np.empty((substeps + 1, d, d), dtype=complex)
+        states[0] = rho
+        # V⁻¹ (not Vᴴ) undoes V exactly; Vᴴ's rounding would accumulate
+        for n, (vn, vi) in enumerate(zip(v_mid, np.linalg.inv(v_mid))):
+            x = step @ (vn @ states[n] @ vn.conj().T).reshape(-1)
+            states[n + 1] = vi @ x.reshape(d, d) @ vi.conj().T
+        rho = _checked_states(states[:-1], states[1:])[-1]
         v = (q * np.exp(-1j * dur * w)) @ (q.conj().T @ v)
     return rho, v

@@ -221,11 +221,11 @@ def run(scenario: Scenario, out_dir, seed: int | None = None,
     if margin is None:
         margin = float(scenario.margin) if scenario.margin is not None else 100.0
     margin = check_margin(margin)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if seed is None:
         seed = scenario.seed
     header, rows, report = _RUNNERS[scenario.task](scenario, margin)
+    out = Path(out_dir)     # made only once the task has succeeded
+    out.mkdir(parents=True, exist_ok=True)
     report["name"] = scenario.name
     report["seed"] = seed
     csv_path = out / "results.csv"

@@ -246,20 +246,20 @@ def parse_state(spec, dim: int, where: str) -> np.ndarray:
         rho[idx, idx] = 1.0
         return rho
     if isinstance(spec, list):
-        if spec and isinstance(spec[0], list):
-            rho = _parse_dense(spec, where)
-            if rho.shape[0] != dim:
-                raise ValidationError(f"state {where} has dimension "
-                                      f"{rho.shape[0]}, expected {dim}")
-            return rho
-        ket = np.array([_parse_entry(v, where) for v in spec], dtype=complex)
-        if ket.shape[0] != dim:
+        dense = bool(spec) and isinstance(spec[0], list)
+        arr = (_parse_dense(spec, where) if dense else np.array(
+            [_parse_entry(v, where) for v in spec], dtype=complex))
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{where} must be finite, got {spec!r}")
+        if arr.shape[0] != dim:
             raise ValidationError(f"state {where} has dimension "
-                                  f"{ket.shape[0]}, expected {dim}")
-        norm = np.linalg.norm(ket)
+                                  f"{arr.shape[0]}, expected {dim}")
+        if dense:
+            return arr
+        norm = np.linalg.norm(arr)
         if norm == 0:
             raise ValidationError(f"state {where} is the zero vector")
-        ket = ket / norm
+        ket = arr / norm
         return np.outer(ket, ket.conj())
     raise ParseError(f"state spec must be a label or list, got "
                      f"{type(spec).__name__}", field=where)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from emdyn import circuit
+from emdyn import circuit, liouville, opcore
 from emdyn.opcore import frob_norm, hs_inner
 
 
@@ -43,6 +43,88 @@ def kron_superop(h_l, h_r, jumps=()):
                          - 0.5 * np.kron(L_l.conj().T @ L_l, er)
                          - 0.5 * np.kron(el, (L_r.conj().T @ L_r).T))
     return gen
+
+
+def rotated_frame_loop(task, substeps=200):
+    """Per-substep form of ``bounds.rotated_frame_marginal`` (the loop
+    oracle): one ``propagate`` of each midpoint-frozen dissipator, with
+    ``V`` at the midpoint from the eigendecomposition of the segment
+    Hamiltonian.  Returns ``(rho2_rotated, V_total)``.
+    """
+    c = task.coupling
+    lam = opcore.herm_eig(c.A).eigenvalues[task.a_eigenindex]
+    rho = np.outer(task.psi0, task.psi0.conj())
+    l0 = np.sqrt(c.gamma) * lam * np.eye(c.d2)
+    b_scale = np.exp(1j * c.phi) / np.sqrt(c.gamma)
+    v = np.eye(c.d2, dtype=complex)
+    for k, (dur, _) in enumerate(task.pulse.segments):
+        w, q = np.linalg.eigh(task.pulse.segment_hamiltonian(k))
+        tau = dur / substeps
+        for n in range(substeps):
+            v_mid = (q * np.exp(-1j * tau * (n + 0.5) * w)) @ q.conj().T @ v
+            b_rot = v_mid.conj().T @ (c.eta * c.B) @ v_mid
+            gen = opcore.dissipator_superop(l0 - b_scale * b_rot)
+            rho = liouville.propagate(gen, rho, tau)
+        v = (q * np.exp(-1j * dur * w)) @ (q.conj().T @ v)
+    return rho, v
+
+
+def left_superop(a):
+    """Kronecker superoperator of ``rho -> a @ rho``."""
+    return np.kron(a, np.eye(len(a)))
+
+
+def right_superop(b):
+    """Kronecker superoperator of ``rho -> rho @ b``."""
+    return np.kron(np.eye(len(b)), np.asarray(b).T)
+
+
+def expanded_generator(c, include_coherent=True):
+    """The coupling's full generator in the expanded four-term form (the
+    cross-check of ``liouville.build_full_generator``)::
+
+        gamma D[A1] + (eta^2/gamma) D[B2] − K + eta cos(phi) {A1 B2, .}
+
+    with ``K(rho) = eta (e^{i phi} B2 rho A1 + e^{-i phi} A1 rho B2)``.
+    """
+    A1, B2 = c.a1(), c.b2()
+    ab = A1 @ B2
+    gen = np.zeros((len(A1) ** 2,) * 2, dtype=complex)
+    if c.gamma > 0:
+        gen += (c.gamma * opcore.dissipator_superop(A1)
+                + c.eta ** 2 / c.gamma * opcore.dissipator_superop(B2))
+    phase = np.exp(1j * c.phi)
+    gen -= c.eta * (phase * left_superop(B2) @ right_superop(A1)
+                    + phase.conjugate() * left_superop(A1) @ right_superop(B2))
+    gen += c.eta * np.cos(c.phi) * (left_superop(ab) + right_superop(ab))
+    if include_coherent:
+        gen += opcore.hamiltonian_superop(c.coherent_hamiltonian())
+    return gen
+
+
+def reduced_s1_generator(c, j):
+    """``(drift, rate)`` of S1 for S2 in eigenspace ``j`` of B: the mirror
+    of ``liouville.reduced_s2_generator``, ``lam_j (g − eta sin phi)`` and
+    ``gamma``."""
+    return c.drift(float(opcore.herm_eig(c.B).eigenvalues[j]), on=1), c.gamma
+
+
+def cascaded_generator(c):
+    """Uni-directional coupling term ``i eta ([A1 rho, B2] + [rho A1, B2])``,
+    the cascaded (source → target) piece at ``phi = pi/2``, ``eta = g``."""
+    A1, B2 = c.a1(), c.b2()
+    return 1j * c.eta * (left_superop(A1) @ right_superop(B2)
+                         - left_superop(B2 @ A1) + right_superop(A1 @ B2)
+                         - left_superop(B2) @ right_superop(A1))
+
+
+def error_upper_bound_absorbed(t, gamma, b_absorbed):
+    """``bounds.error_upper_bound`` in the eta-absorbed convention
+    ``B_tilde = eta B``: ``(t / 2 gamma)(opnorm(B_tilde)^2 +
+    opnorm(B_tilde^2))``."""
+    norm = [np.max(np.abs(np.linalg.eigvalsh(m)))
+            for m in (b_absorbed, b_absorbed @ b_absorbed)]
+    return float(t / (2.0 * gamma) * (norm[0] ** 2 + norm[1]))
 
 
 def working_point(gamma_z=50.0, n_max=3, lambda_1z=0.25, lambda_23=0.15):

@@ -15,6 +15,8 @@ import pytest
 from emdyn import (bounds, circuit, cli, control, emergent, liouville,
                    opcore)
 
+from conftest import expanded_generator
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 I2 = np.eye(2, dtype=complex)
@@ -44,7 +46,7 @@ def test_criterion_01_generator_equivalence():
             phi=float(rng.uniform(-np.pi, np.pi)),
             g=0.0)
         direct = liouville.build_full_generator(c, include_coherent=False)
-        expanded = liouville.expanded_generator(c, include_coherent=False)
+        expanded = expanded_generator(c, include_coherent=False)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(expanded - direct)) < 1e-12 * scale
     assert time.monotonic() - start < 10.0

@@ -5,7 +5,8 @@ import pytest
 from emdyn import bounds, liouville, opcore
 from emdyn.errors import RequiresNoPulse, ValidationError
 
-from conftest import rand_hermitian
+from conftest import (error_upper_bound_absorbed, left_superop,
+                      rand_hermitian, rotated_frame_loop)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -82,8 +83,7 @@ def test_absorbed_eta_convention_agrees():
     c = make_coupling(gamma=7.0, eta=0.6)
     task = bounds.make_gate_task(c, PLUS, 1.3)
     direct = bounds.error_upper_bound(task)
-    absorbed = bounds.error_upper_bound_absorbed(
-        1.3, 7.0, bounds.absorb_eta(SZ, 0.6))
+    absorbed = error_upper_bound_absorbed(1.3, 7.0, 0.6 * SZ)
     assert direct == pytest.approx(absorbed, rel=1e-14)
 
 
@@ -165,3 +165,42 @@ def test_rotated_frame_matches_lab_frame():
     rho_lab = liouville.propagate_controlled(c, pulse, rho0)
     rho2_lab = opcore.partial_trace(rho_lab, (2, 2), [1])
     assert opcore.trace_distance(v @ rho2_rot @ v.conj().T, rho2_lab) < 1e-8
+
+
+@pytest.mark.parametrize("d2, n_seg", [(2, 1), (2, 2), (4, 1), (4, 2)])
+def test_rotated_frame_matches_loop_oracle(d2, n_seg):
+    # perfbench's pulsed tasks: unit 1-norm operators, rates 5-50
+    rng = np.random.default_rng([d2, n_seg])
+
+    def unit(d):
+        h = rand_hermitian(rng, d)
+        return h / np.abs(h).sum(axis=0).max()
+
+    c = liouville.DissipativeCoupling(
+        A=unit(2), B=unit(d2), gamma=float(rng.uniform(5.0, 50.0)),
+        eta=float(rng.uniform(0.3, 1.0)), phi=np.pi / 2)
+    durations = rng.uniform(0.1, 1.0, size=n_seg)
+    pulse = liouville.ControlPulse(
+        segments=tuple((float(dur), tuple(rng.uniform(-1, 1, 2)))
+                       for dur in durations),
+        hamiltonians=(unit(d2), unit(d2)))
+    psi0 = rng.normal(size=d2) + 1j * rng.normal(size=d2)
+    task = bounds.make_gate_task(c, psi0 / np.linalg.norm(psi0),
+                                 float(durations.sum()), pulse=pulse)
+    rho2, v = bounds.rotated_frame_marginal(task)
+    want_rho2, want_v = rotated_frame_loop(task)
+    assert np.max(np.abs(rho2 - want_rho2)) <= 1e-12
+    assert np.max(np.abs(v - want_v)) <= 1e-12
+
+
+def test_rotated_frame_checks_its_generator(monkeypatch):
+    # every substep's generator is a unitary conjugate of this one
+    def broken(L):
+        return opcore.dissipator_superop(L) + left_superop(1j * SX)
+
+    monkeypatch.setattr(bounds, "dissipator_superop", broken)
+    pulse = liouville.ControlPulse(segments=((0.5, (1.0,)),),
+                                   hamiltonians=(SX,))
+    task = bounds.make_gate_task(make_coupling(), PLUS, 0.5, pulse=pulse)
+    with pytest.raises(ValidationError, match="preserve Hermiticity"):
+        bounds.rotated_frame_marginal(task)

@@ -4,15 +4,18 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emdyn import circuit, liouville, opcore
-from emdyn.errors import (BadEigenindex, DimMismatch, NotDensityMatrix,
-                          NotHermitian, ValidationError)
+from emdyn.errors import (BadEigenindex, DimMismatch, NonPhysicalResult,
+                          NotDensityMatrix, NotHermitian, NumericalError,
+                          ValidationError)
 
-from conftest import (dense_expm_oracle, kron_superop, rand_density,
-                      rand_hermitian, working_point)
+from conftest import (cascaded_generator, dense_expm_oracle,
+                      expanded_generator, kron_superop, left_superop,
+                      rand_density, rand_hermitian, reduced_s1_generator,
+                      working_point)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -60,7 +63,7 @@ def test_expanded_generator_matches_direct(rng):
                           phi=float(rng.uniform(-np.pi, np.pi)),
                           A=rand_hermitian(rng, 2), B=rand_hermitian(rng, 2))
         direct = liouville.build_full_generator(c, include_coherent=False)
-        expanded = liouville.expanded_generator(c, include_coherent=False)
+        expanded = expanded_generator(c, include_coherent=False)
         npt.assert_allclose(expanded, direct, atol=1e-12)
 
 
@@ -133,8 +136,23 @@ def coupling_cases(draw):
     return c, np.kron(rand_density(rng, d1), rand_density(rng, d2)), t
 
 
+def _large_norm_t_case():
+    """A coherent generator at ``‖t G‖₁ ≈ 1e5`` where SciPy's real ``expm``
+    errs by 2.9e-10 (its complex ``expm`` by 7e-12)."""
+    b01 = -1.0427995064746918 - 1.4138832933175767j
+    B = np.array([[0.7867320840655172, b01], [b01.conjugate(),
+                                              -1.1864298772188848]])
+    r01 = 0.21404330936637428 - 0.40204767591682156j
+    rho0 = np.array([[0.3505480026555183, r01],
+                     [r01.conjugate(), 0.6494519973444818]])
+    c = liouville.DissipativeCoupling(A=np.array([[-0.8078]]), B=B,
+                                      gamma=1.0, eta=0.0, g=2.0)
+    return c, rho0, 1e4
+
+
 @settings(max_examples=150, deadline=None)
 @given(coupling_cases())
+@example(_large_norm_t_case())
 def test_closed_form_matches_dense_route(case):
     c, rho0, t = case
     got = liouville.propagate(c, rho0, t)
@@ -321,6 +339,78 @@ def test_master_equation_route_matches_oracle(case):
                 liouville.propagate(model, rho0, 1.0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(component_models())
+def test_dense_block_route_matches_oracle(case):
+    # the dense generator from the Kronecker oracle, not from _superop; the
+    # split forced at every size (it starts at d = 16 on its own)
+    me, _, rho0, t = case
+    h = me.hamiltonian
+    gen = kron_superop(h, h, [(L, L, r) for L, r in me.jumps])
+    want = dense_expm_oracle(gen, rho0, t)
+    for split_min_dim in (1, liouville._SPLIT_MIN_DIM):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(liouville, "_SPLIT_MIN_DIM", split_min_dim)
+            got = liouville.propagate(gen, rho0, t)
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_dense_route_checks_unoccupied_blocks(monkeypatch):
+    # two index blocks {0, 2} and {1, 3}; the state occupies only the
+    # first, and the generator fails Hermiticity only inside the second
+    perm = np.array([0, 2, 1, 3])
+    h = np.kron(I2, SX)[np.ix_(perm, perm)]
+    L = np.kron(I2, np.array([[0, 1], [0, 0]]))[np.ix_(perm, perm)]
+    gen = kron_superop(h, h, [(L, L, 2.0)])
+    rho0 = np.zeros((4, 4), dtype=complex)
+    rho0[np.ix_([0, 2], [0, 2])] = PLUS
+    want = dense_expm_oracle(gen, rho0, 1.0)
+    npt.assert_allclose(liouville.propagate(gen, rho0, 1.0), want,
+                        atol=1e-12)
+    g4 = gen.reshape(4, 4, 4, 4).copy()
+    g4[3, 1, 3, 1] += 1j      # X[3, 1] rotates, X[1, 3] does not
+    for split_min_dim in (1, liouville._SPLIT_MIN_DIM):
+        monkeypatch.setattr(liouville, "_SPLIT_MIN_DIM", split_min_dim)
+        with pytest.raises(ValidationError, match="preserve Hermiticity"):
+            liouville.propagate(g4.reshape(16, 16), rho0, 1.0)
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_dense_jrm_generator_matches_master_equation(n_max):
+    # criterion 09's forward model: its dense generator and the model
+    params = working_point(gamma_z=50.0, n_max=n_max)
+    ec = circuit.effective_coupling_constants(params)
+    tones = circuit.plan_dissipative_tones(
+        params.Omega, params.mode.omega_z, 0.0,
+        (0.0, 1.5 * np.pi, 1.5 * np.pi))
+    me = circuit.build_jrm_effective(params, tones, include_three_body=True)
+    t = 1.0 / (2.0 * ec.gamma_eff * ec.eta_over_gamma)
+    rho0 = opcore.tensor([P0, P0, P0, circuit.fock_vacuum(n_max + 1)])
+    got = liouville.propagate(me.generator(), rho0, t)
+    assert np.max(np.abs(got - liouville.propagate(me, rho0, t))) <= 1e-12
+
+
+def test_checked_states_covers_every_state_of_a_stack():
+    good = np.stack([P0, PLUS, np.eye(2) / 2])
+    npt.assert_array_equal(liouville._checked_states(good, good), good)
+    drifted = good.copy()
+    drifted[1] *= 1.01
+    with pytest.raises(NumericalError, match="trace drifted"):
+        liouville._checked_states(good, drifted)
+    skew = good.copy()
+    skew[1, 0, 1] += 1e-6
+    with pytest.raises(NumericalError, match="Hermiticity drift"):
+        liouville._checked_states(good, skew)
+    negative = good.copy()
+    negative[1] = np.diag([1.5, -0.5])
+    with pytest.raises(NonPhysicalResult):
+        liouville._checked_states(good, negative)
+    gen = opcore.dissipator_superop(SX - 1j * P0)
+    liouville._check_generator(gen, 2)
+    with pytest.raises(ValidationError, match="preserve Hermiticity"):
+        liouville._check_generator(gen + left_superop(SX), 2)
+
+
 def test_block_route_skips_unoccupied_blocks():
     # dephasing keeps |0><0|, |1><1| and the coherences apart: only the
     # occupied block moves
@@ -350,7 +440,7 @@ def test_propagate_rejects_bad_initial_state(t):
 
 
 def test_non_hermiticity_preserving_generator_rejected(rng):
-    gen = opcore.left_superop(rand_hermitian(rng, 3))
+    gen = left_superop(rand_hermitian(rng, 3))
     with pytest.raises(ValidationError, match="preserve Hermiticity"):
         liouville.propagate(gen, np.eye(3) / 3, 1.0)
 
@@ -394,7 +484,7 @@ def test_reduced_s2_dissipative_only():
 
 def test_reduced_s1_mirror():
     c = make_coupling(gamma=10.0, eta=0.5, phi=np.pi / 2, g=0.5)
-    drift, rate = liouville.reduced_s1_generator(c, 1)  # lambda = +1 of sx
+    drift, rate = reduced_s1_generator(c, 1)  # lambda = +1 of sx
     assert abs(drift) < 1e-15  # g - eta sin(phi) = 0: S1 sees no back-action
     assert rate == 10.0
 
@@ -408,7 +498,7 @@ def test_reduced_generator_bad_index():
 def test_cascaded_generator_identity_a():
     # A = identity: the cascaded form collapses to -i[2 eta B, .] on S2
     c = make_coupling(A=I2, B=SX, gamma=5.0, eta=0.8)
-    got = liouville.cascaded_generator(c)
+    got = cascaded_generator(c)
     want = opcore.hamiltonian_superop(2 * 0.8 * np.kron(I2, SX))
     npt.assert_allclose(got, want, atol=1e-13)
 

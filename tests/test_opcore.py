@@ -8,7 +8,8 @@ from emdyn import liouville, opcore
 from emdyn.errors import (BadFactorIndex, DimMismatch, NotDensityMatrix,
                           NotHermitian)
 
-from conftest import kron_superop, rand_density, rand_hermitian
+from conftest import (kron_superop, left_superop, rand_density,
+                      rand_hermitian, right_superop)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -62,7 +63,7 @@ def test_superop_factor_identities(rng):
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho = rand_density(rng, 3)
         lhs = opcore.unvec(
-            opcore.left_superop(a) @ opcore.right_superop(b) @ opcore.vec(rho), 3)
+            left_superop(a) @ right_superop(b) @ opcore.vec(rho), 3)
         npt.assert_allclose(lhs, a @ rho @ b, atol=1e-13)
 
 

@@ -211,6 +211,22 @@ def test_cli_anti_hermitian_pauli_exits_2(tmp_path, capsys):
     assert "not Hermitian" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", ['["inf", 0]', "[1, .nan]",
+                                  "[[1, 0], [0, .inf]]",
+                                  '[["nan", 0], [0, 1]]'])
+def test_cli_nonfinite_state_exits_2(tmp_path, capsys, spec):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINIMAL.replace("task: equivalence", "task: simulate")
+                   + f"initial:\n  rho2: {spec}\n")
+    rc = run_cli("simulate", "--scenario", str(bad),
+                 "--out", str(tmp_path / "out"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "initial.rho2 must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dense_matrix_operator():
     mat = parse_operator([[0, "1j"], ["-1j", 0]], "x")
     npt.assert_allclose(mat, np.array([[0, 1j], [-1j, 0]]))
