@@ -19,7 +19,12 @@ gates' rotated frame at d2 = 2, 4, 8 is timed against its per-substep loop
 ``propagate`` call at D = 4 and 8 is timed for a generator with no exact
 zeros and for ``validate_elimination``'s eliminated model, which has some,
 against the complex ``expm`` oracle; here the library side is the median of
-``DENSE_REPEATS`` calls.  With ``--parent DIR`` every library call is also
+``DENSE_REPEATS`` calls.  So are the assembly rows, against the Kronecker
+build: every occupied block pair's generator of ``validate_elimination``'s
+rotated model at n_max 4, 6, 8 (one batched ``_superop`` call per block
+shape; the parent makes one call per pair), its eliminated dissipator at
+D = 4 and the rotated frame's dense ``D[M]`` at d2 = 2, 4, 8.  With
+``--parent DIR`` every library call is also
 timed on the parent checkout's ``emdyn`` (imported as ``emdyn_parent``),
 alternating call by call, as ``parent_ms``.  ``pairs`` runs
 ``perfbench/run.py`` K times on the parent checkout ``DIR`` and on this
@@ -56,7 +61,7 @@ from conftest import (kron_superop, rand_hermitian,  # noqa: E402
                       rotated_frame_loop, working_point)
 from perfbench import reference  # noqa: E402
 
-OUT = ROOT / "BENCH_8.json"
+OUT = ROOT / "BENCH_9.json"
 DENSE_REPEATS = 2000
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -108,20 +113,75 @@ def load_parent(path):
     return mod
 
 
-def elimination_point(em, n_max):
-    """Criterion 07's model at gamma_a = 100, the middle of its sweep."""
-    gamma_a, t, phi1, phi2 = 100.0, 2.0, 0.1, 0.7
+def elimination_model(em, n_max):
+    """Criterion 07's model at gamma_a = 100, the middle of its sweep: its
+    parameters, eliminated jump and full model."""
+    gamma_a, phi1, phi2 = 100.0, 0.1, 0.7
     lam1 = np.sqrt(0.6 * gamma_a) / 2
     lam2 = 0.5 * lam1
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    rho0 = np.kron(plus, plus)
     L = em.circuit.adiabatic_eliminate(lam1, lam2, phi1, phi2, gamma_a, SZ, SX)
     full = em.circuit.build_system_bath(
         em.circuit.SystemBathParams(lam1, lam2, gamma_a, n_max=n_max),
         SZ, SX, (phi1, phi2))
+    return (lam1, lam2, gamma_a, phi1, phi2), L, full
+
+
+def elimination_point(em, n_max):
+    """``validate_elimination`` of criterion 07's model."""
+    args, L, full = elimination_model(em, n_max)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    rho0 = np.kron(plus, plus)
     return (lambda: reference.system_bath_distance(
-                lam1, lam2, gamma_a, phi1, phi2, SZ, SX, n_max, rho0, t),
-            lambda: em.circuit.validate_elimination(full, L, rho0, t))
+                *args, SZ, SX, n_max, rho0, 2.0),
+            lambda: em.circuit.validate_elimination(full, L, rho0, 2.0))
+
+
+def pair_assembly(em, n_max):
+    """The generators of every block pair of ``elimination_point``'s rotated
+    model (all are occupied there): one batched ``_superop`` call per block
+    shape, or, on the parent, one call per pair."""
+    model = em.circuit._system_diagonal(elimination_model(em, n_max)[2], 4)[1]
+    h, jumps = model.hamiltonian, [(op, r) for op, r in model.jumps if r]
+    pattern = h != 0
+    for op, _ in jumps:
+        pattern |= op != 0
+    comps = em.liouville._blocks(pattern)
+    pairs = [(i, j) for a, i in enumerate(comps) for j in comps[a:]]
+
+    def sub(op, i, j):
+        return op[np.ix_(i, j)]
+
+    def per_pair(gens=em.opcore._superop):
+        return [gens(sub(h, i, i), sub(h, j, j),
+                     [(sub(op, i, i), sub(op, j, j), r) for op, r in jumps])
+                for i, j in pairs]
+
+    def batched():
+        ia, ib = (np.array(x) for x in zip(*pairs))
+        return em.opcore._superop(
+            h[ia[:, :, None], ia[:, None, :]],
+            h[ib[:, :, None], ib[:, None, :]],
+            [(op[ia[:, :, None], ia[:, None, :]],
+              op[ib[:, :, None], ib[:, None, :]], r) for op, r in jumps])
+
+    return (lambda: per_pair(kron_superop),
+            batched if em is emdyn else per_pair)
+
+
+def dissipator_build(em, d, kind):
+    """``dissipator_superop`` of ``elimination_point``'s eliminated jump (D =
+    4, with exact zeros) or of the rotated frame's dense ``M`` on d2 levels
+    (the 64×64 ``D[M]`` at d2 = 8), against its Kronecker build."""
+    if kind == "elimination":
+        L = elimination_model(em, 4)[1]
+    else:
+        c = pulsed_task(em, d).coupling
+        lam = em.opcore.herm_eig(c.A).eigenvalues[0]
+        L = np.sqrt(c.gamma) * lam * np.eye(d) - np.exp(
+            1j * c.phi) * c.eta / np.sqrt(c.gamma) * c.B
+    z = np.zeros_like(L)
+    return (lambda: kron_superop(z, z, [(L, L, 1.0)]),
+            lambda: em.opcore.dissipator_superop(L))
 
 
 def jrm_model(em, n_max):
@@ -201,6 +261,12 @@ CASES = (
      (4, 8), 3, None),
     ("dense_call.elimination", lambda em, d: dense_call(em, d, "elim"),
      (4, 8), 3, None),
+    ("pair_assembly", pair_assembly, (4, 6, 8), 3, None),
+    ("dissipator_build.elimination",
+     lambda em, d: dissipator_build(em, d, "elimination"), (4,), 3, None),
+    ("dissipator_build.rotated_frame",
+     lambda em, d: dissipator_build(em, d, "rotated_frame"), (2, 4, 8), 3,
+     None),
 )
 
 

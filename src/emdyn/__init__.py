@@ -18,8 +18,7 @@ from .opcore import (HilbertSpace, SpectralDecomposition, dissipator_superop,
                      expm, hamiltonian_superop, herm_eig, hs_inner,
                      partial_trace, tensor, trace_distance, unvec, vec)
 from .liouville import (ControlPulse, DissipativeCoupling, MasterEquation,
-                        build_full_generator, propagate, propagate_controlled,
-                        reduced_s2_generator)
+                        propagate, propagate_controlled, reduced_s2_generator)
 from .emergent import (UnitaryMixture, apply_mixture, equivalence_gap,
                        fit_power_law, gamma_scaling_fit,
                        nonreciprocity_report, scaling_exponent,

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import opcore
 from .errors import (DispersiveViolation, NegativeToneFrequency,
-                     NumericalError, TruncationTooSmall, ValidationError,
-                     ZeroPrimaryCoupling)
+                     TruncationTooSmall, ValidationError, ZeroPrimaryCoupling)
 from .liouville import MasterEquation, propagate
 from .opcore import (HilbertSpace, dissipator_superop, partial_trace, tensor,
                      trace_distance)
@@ -26,9 +25,9 @@ __all__ = [
     "SystemBathParams", "lowering", "quadrature", "fock_vacuum",
     "adiabatic_eliminate", "build_system_bath", "validate_elimination",
     "effective_coupling_constants", "plan_dissipative_tones",
-    "plan_coherent_tones", "modulation_signal", "modulation_forms",
-    "build_jrm_effective", "strong_damping_condition",
-    "nonreciprocity_conditions", "coherent_three_body",
+    "plan_coherent_tones", "modulation_signal", "build_jrm_effective",
+    "strong_damping_condition", "nonreciprocity_conditions",
+    "coherent_three_body",
 ]
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -247,8 +246,6 @@ def _joint_eigenbasis(ops, d: int) -> np.ndarray:
     for op in ops:
         if all(u.shape[1] == 1 for u in spaces):
             break
-        if not op.any():
-            continue
         eigs = [np.linalg.eigh(u.conj().T @ op @ u) for u in spaces]
         scale = max(np.abs(w).max() for w, _ in eigs)
         spaces = [part for u, (w, v) in zip(spaces, eigs) for part in np.split(
@@ -273,10 +270,11 @@ def _system_diagonal(full: MasterEquation, ds: int
     parts = np.concatenate([
         op.reshape(ds, dm, ds, dm).transpose(1, 3, 0, 2).reshape(-1, ds, ds)
         for op in ops])
-    u = _joint_eigenbasis([h for s in parts for h in
-                           ((s + s.conj().T) / 2, (s - s.conj().T) / 2j)], ds)
-    uf = np.kron(u, np.eye(dm))
-    diagonal = np.kron(np.eye(ds), np.ones((dm, dm))) != 0
+    adj = parts.conj().swapaxes(1, 2)
+    halves = np.stack([(parts + adj) / 2, (parts - adj) / 2j], axis=1)
+    u = _joint_eigenbasis(halves[halves.any(axis=(2, 3))], ds)
+    uf = opcore._kron(u, np.eye(dm))
+    diagonal = opcore._kron(np.eye(ds), np.ones((dm, dm))) != 0
     rotated = []
     for op in ops:
         r = uf.conj().T @ op @ uf
@@ -437,33 +435,12 @@ def plan_coherent_tones(Omega, phi_y) -> ToneSet:
     )
 
 
-def modulation_forms(tones: ToneSet, t):
-    """Evaluate the drive modulation in product form and sum form.
-
-    Product form: ``(sum of x cosines) * (sum of y cosines)``.  Sum form:
-    over every (x, y) tone pair, ``cos((wx+wy)t + px+py)/2 +
-    cos((wx−wy)t + px−py)/2``.  The two agree pointwise by the
-    product-to-sum identity.
-    """
-    t = np.asarray(t, dtype=float)
-    px = sum(np.cos(w * t + p) for w, p in tones.x_tones)
-    py = sum(np.cos(w * t + p) for w, p in tones.y_tones)
-    product = px * py
-    total = np.zeros_like(t, dtype=float)
-    for wx, phx in tones.x_tones:
-        for wy, phy in tones.y_tones:
-            total = total + 0.5 * np.cos((wx + wy) * t + (phx + phy))
-            total = total + 0.5 * np.cos((wx - wy) * t + (phx - phy))
-    return product, total
-
-
 def modulation_signal(tones: ToneSet, t):
-    """Modulation value at time(s) ``t``, cross-checked between both forms."""
-    product, total = modulation_forms(tones, t)
-    err = float(np.max(np.abs(product - total)))
-    if err > 1e-9:
-        raise NumericalError(
-            f"modulation product/sum forms disagree by {err:.3e}")
+    """Drive modulation at time(s) ``t``: ``(sum of x cosines) * (sum of y
+    cosines)``."""
+    t = np.asarray(t, dtype=float)
+    product = (sum(np.cos(w * t + p) for w, p in tones.x_tones)
+               * sum(np.cos(w * t + p) for w, p in tones.y_tones))
     return product if product.ndim else float(product)
 
 

@@ -20,12 +20,11 @@ from . import opcore
 from .errors import (BadEigenindex, DimMismatch, NonPhysicalResult,
                      NotDensityMatrix, NotHermitian, NumericalError,
                      ValidationError)
-from .opcore import (HilbertSpace, check_hermitian, dissipator_superop,
-                     hamiltonian_superop, herm_eig, tensor)
+from .opcore import HilbertSpace, check_hermitian, herm_eig, tensor
 
 __all__ = [
     "DissipativeCoupling", "ControlPulse", "MasterEquation",
-    "build_full_generator", "reduced_s2_generator",
+    "reduced_s2_generator",
     "propagate", "propagate_controlled",
 ]
 
@@ -73,10 +72,6 @@ class DissipativeCoupling:
     @property
     def space(self) -> HilbertSpace:
         return HilbertSpace((self.d1, self.d2))
-
-    @property
-    def eta_exceeds_gamma(self) -> bool:
-        return self.gamma > 0 and self.eta >= self.gamma
 
     # -- embedded operators -------------------------------------------
     def a1(self) -> np.ndarray:
@@ -192,24 +187,6 @@ class MasterEquation:
 # generators
 # --------------------------------------------------------------------------
 
-def build_full_generator(c: DissipativeCoupling,
-                         include_coherent: bool = True) -> np.ndarray:
-    """Full generator built directly from the jump operator.
-
-    Returns ``D[L]`` plus, when ``include_coherent``, the commutator part
-    ``-i [g A1 B2, .]``.  ``gamma == 0`` (with ``eta == 0``) degenerates to
-    the purely coherent generator.
-    """
-    if c.gamma == 0:
-        n = (c.d1 * c.d2) ** 2
-        gen = np.zeros((n, n), dtype=complex)
-    else:
-        gen = dissipator_superop(c.jump_operator())
-    if include_coherent and c.g != 0:
-        gen = gen + hamiltonian_superop(c.coherent_hamiltonian())
-    return gen
-
-
 def reduced_s2_generator(c: DissipativeCoupling, j: int) -> tuple[float, float]:
     """Reduced S2 generator coefficients for S1 in eigenspace ``j`` of A.
 
@@ -242,7 +219,7 @@ def _evolve_coupling(c: DissipativeCoupling, rho0: np.ndarray,
     """
     a, ua = np.linalg.eigh(c.A)
     b, ub = np.linalg.eigh(c.B)
-    u = np.kron(ua, ub)
+    u = opcore._kron(ua, ub)
     l = np.zeros(c.d1 * c.d2, dtype=complex)
     if c.gamma > 0:
         l = (np.sqrt(c.gamma) * a[:, None] - c.eta / np.sqrt(c.gamma)
@@ -260,22 +237,27 @@ def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(lab == c) for c in np.unique(lab)]
 
 
-def _evolve_blocks(comps, block_gen, rho0: np.ndarray,
+def _evolve_blocks(comps, block_gens, rho0: np.ndarray,
                    t: float) -> np.ndarray:
     """``exp(t G) rho0`` for a ``G`` with exact invariant blocks ``rho[I_a,
-    I_b]`` (``I_a`` in ``comps``), ``block_gen(a, b)`` the generator of one.
-    Only the pairs ``a ≤ b`` that ``rho0`` occupies are evolved: a diagonal
-    pair by :func:`opcore.expm_superop_apply`, an off-diagonal pair by one
-    complex ``expm``, with ``rho[I_b, I_a] = rho[I_a, I_b]ᴴ``."""
+    I_b]`` (``I_a`` in ``comps``), ``block_gens(ia, ib)`` the generators of
+    ``rho[ia[n], ib[n]]`` for stacked index sets.  Only the pairs ``a ≤ b``
+    that ``rho0`` occupies are evolved, built together per block shape: a
+    diagonal pair by :func:`opcore.expm_superop_apply`, an off-diagonal pair
+    by one complex ``expm``, with ``rho[I_b, I_a] = rho[I_a, I_b]ᴴ``."""
     rho = np.zeros_like(rho0)
+    shapes: dict[tuple[int, int], list] = {}
     for a, ia in enumerate(comps):
-        for b, ib in enumerate(comps[a:], a):
+        for ib in comps[a:]:
+            x = (rho0[np.ix_(ia, ib)] + rho0[np.ix_(ib, ia)].conj().T) / 2
+            if x.any():
+                shapes.setdefault(x.shape, []).append((ia, ib, x))
+    for pairs in shapes.values():
+        ias, ibs, xs = zip(*pairs)
+        for ia, ib, x, gen in zip(ias, ibs, xs, block_gens(np.array(ias),
+                                                            np.array(ibs))):
             blk, tr = np.ix_(ia, ib), np.ix_(ib, ia)
-            x = (rho0[blk] + rho0[tr].conj().T) / 2
-            if not x.any():
-                continue
-            gen = block_gen(a, b)
-            if a == b:
+            if ia is ib:
                 rho[blk] = opcore.expm_superop_apply(gen, x, t)
             else:
                 rho[blk] = (opcore.expm(gen, t) @ x.reshape(-1)).reshape(
@@ -294,22 +276,21 @@ def _evolve_master_equation(me: MasterEquation, rho0: np.ndarray,
     pattern = h != 0
     for op, _ in jumps:
         pattern |= op != 0
-    comps = _blocks(pattern)
-    diag = [(h[np.ix_(i, i)], [op[np.ix_(i, i)] for op, _ in jumps])
-            for i in comps]
-    rates = [r for _, r in jumps]
 
-    def block_gen(a, b):
-        (h_a, ls_a), (h_b, ls_b) = diag[a], diag[b]
-        return opcore._superop(h_a, h_b, zip(ls_a, ls_b, rates))
+    def block_gens(ia, ib):
+        def sub(op, i):
+            return op[i[:, :, None], i[:, None, :]]
+        return opcore._superop(sub(h, ia), sub(h, ib),
+                               [(sub(op, ia), sub(op, ib), r)
+                                for op, r in jumps])
 
-    return _evolve_blocks(comps, block_gen, rho0, t)
+    return _evolve_blocks(_blocks(pattern), block_gens, rho0, t)
 
 
 def _nonzero(gen: np.ndarray) -> np.ndarray:
-    """Flat nonzero mask of a complex array, via its 3× cheaper float view."""
+    """Flat nonzero indices of a complex array, via its cheaper float view."""
     part = gen.reshape(-1).view(float) != 0
-    return part[0::2] | part[1::2]
+    return np.flatnonzero(part[0::2] | part[1::2])
 
 
 #: Smallest d whose dense generator is split; below it the real basis finds
@@ -319,34 +300,39 @@ _SPLIT_MIN_DIM = 16
 
 def _evolve_dense(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """``g4 = gen.reshape(d, d, d, d)`` moves ``rho[k, l]`` into ``rho[i, j]``
-    only where ``g4[i, j, k, l] != 0``, so the components ``I_a`` of the
-    links ``i–k`` and ``j–l`` there give exact invariant blocks, generated by
-    ``g4[I_a, I_b, I_a, I_b]``.  One component goes whole to
-    :func:`opcore.expm_superop_apply`, whose real basis checks it."""
+    only where ``g4[i, j, k, l] != 0``: the components ``I_a`` of the links
+    ``i–k`` and ``j–l`` there, read in one scan with the entries to check,
+    are exact invariant blocks, generated by ``g4[I_a, I_b, I_a, I_b]``.
+    One component goes whole to :func:`opcore.expm_superop_apply` instead."""
     d = rho0.shape[0]
     g4 = gen.reshape(d, d, d, d)
     comps = []      # a nonzero g4[:, 0, :, 0] links every i–k: one component
     if d >= _SPLIT_MIN_DIM and not g4[:, 0, :, 0].all():
-        nz = _nonzero(gen).reshape(d, d, d, d)
-        comps = _blocks(nz.any(axis=(1, 3)) | nz.any(axis=(0, 2)))
+        nz = i, j, k, l = np.unravel_index(_nonzero(gen), g4.shape)
+        links = np.zeros((d, d), dtype=bool)
+        links[i, k] = links[j, l] = True
+        comps = _blocks(links)
     if len(comps) < 2:
         return opcore.expm_superop_apply(gen, rho0, t)
-    _check_generator(gen, d)
+    _check_generator(gen, d, nz)
 
-    def block_gen(a, b):
-        ia, ib = comps[a], comps[b]
-        return g4[np.ix_(ia, ib, ia, ib)].reshape(len(ia) * len(ib), -1)
+    def block_gens(ia, ib):
+        return [g4[np.ix_(x, y, x, y)].reshape(len(x) * len(y), -1)
+                for x, y in zip(ia, ib)]
 
-    return _evolve_blocks(comps, block_gen, rho0, t)
+    return _evolve_blocks(comps, block_gens, rho0, t)
 
 
-def _check_generator(gen: np.ndarray, d: int) -> None:
+def _check_generator(gen: np.ndarray, d: int, nz=None) -> None:
     """Raise :class:`ValidationError` unless the d²×d² ``gen`` preserves
     Hermiticity: ``g4[i, j, k, l] = conj(g4[j, i, l, k])`` at every nonzero
-    entry, to 1e-10 times ``max(1, largest entry)`` (the scale of
+    entry (``nz = (i, j, k, l)``, found here when not given), to 1e-10
+    times ``max(1, largest entry)`` (the scale of
     :func:`opcore._real_generator`)."""
-    i, j, k, l = np.unravel_index(np.flatnonzero(_nonzero(gen)), (d,) * 4)
     g4 = gen.reshape(d, d, d, d)
+    if nz is None:
+        nz = np.unravel_index(_nonzero(gen), g4.shape)
+    i, j, k, l = nz
     val = g4[i, j, k, l]
     if np.abs(val - g4[j, i, l, k].conj()).max(initial=0.0) > 1e-10 * max(
             1.0, np.abs(val).max(initial=0.0)):
@@ -386,12 +372,14 @@ def propagate(model: DissipativeCoupling | MasterEquation | np.ndarray,
     included).  A :class:`MasterEquation` and a dense row-vectorized
     generator ``gen`` are evolved over the exact invariant blocks
     ``rho[I_a, I_b]`` of the generator (:func:`_evolve_blocks`), built from
-    the model's operator blocks (the d²×d² generator is never formed) or
-    sliced out of ``gen`` by its nonzero pattern; below ``d =
-    _SPLIT_MIN_DIM``, or unsplit, ``gen`` goes whole to the real-basis
-    :func:`opcore.expm_superop_apply`.  A non-Hermitian Hamiltonian, or a
-    ``gen`` that does not preserve Hermiticity in any block, raises
-    :class:`ValidationError` at every ``t``.  The complex ``expm`` of the
+    the model's operator blocks, all occupied pairs of one block shape in
+    one batched assembly (the d²×d² generator is never formed), or sliced
+    out of ``gen`` by its nonzero pattern, read in one scan that also serves
+    the Hermiticity check; below ``d = _SPLIT_MIN_DIM``, or unsplit, ``gen``
+    goes whole to the real-basis :func:`opcore.expm_superop_apply`.  A
+    non-Hermitian Hamiltonian, or a ``gen`` that does not preserve
+    Hermiticity in any block, raises :class:`ValidationError` at every
+    ``t``.  The complex ``expm`` of the
     generator is the test oracle for every route.
 
     ``rho0`` must be Hermitian (:class:`NotHermitian` otherwise) with no

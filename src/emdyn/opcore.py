@@ -91,13 +91,19 @@ class SpectralDecomposition:
 # basic algebra
 # --------------------------------------------------------------------------
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, bit for bit, as one broadcast product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def tensor(ops: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of the given square operators, in declared order."""
     mats = [np.asarray(op, dtype=complex) for op in ops]
     for m in mats:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimMismatch(f"tensor factors must be square, got {m.shape}")
-    return reduce(np.kron, mats)
+    return reduce(_kron, mats)
 
 
 def is_hermitian(op: np.ndarray, tol: float = _HERM_TOL) -> bool:
@@ -338,6 +344,13 @@ def expm_superop_apply(gen: np.ndarray, rho: np.ndarray,
     return unvec(u1 * y[j1] + u2 * y[j2], d)
 
 
+def _support(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices where some matrix of the stack ``op`` is
+    nonzero."""
+    return np.nonzero(op if op.ndim == 2 else
+                      op.reshape((-1,) + op.shape[-2:]).any(axis=0))
+
+
 def _superop(h_l: np.ndarray, h_r: np.ndarray, jumps=()) -> np.ndarray:
     """Row-vectorized generator of the two-sided Lindblad map on a×b ``X``::
 
@@ -347,28 +360,38 @@ def _superop(h_l: np.ndarray, h_r: np.ndarray, jumps=()) -> np.ndarray:
     ``h_r`` and ``L_r`` b×b.  With equal left and right operators this is
     the Lindblad generator; with the diagonal blocks ``(I_a, I_a)`` and
     ``(I_b, I_b)`` of block-diagonal operators it is the generator of the
-    block ``X = rho[I_a, I_b]``.
+    block ``X = rho[I_a, I_b]``.  Leading axes shared by all operators are
+    batch axes: the result is ``(..., ab, ab)``, one generator each.
 
-    Built in one (a, b, a, b) array with no Kronecker product: the jump
-    term ``r L_l[i, k] conj(L_r[j, l])`` row by row (no temporary of the
-    output's size), and the one-sided terms through the diagonal views
-    ``g[:, j, :, j]`` and ``g[i, :, i, :]`` (writeable ``einsum`` views).
+    Built in one (..., a, b, a, b) array with no Kronecker product: the
+    jump term ``r L_l[i, k] conj(L_r[j, l])`` by one add at the ``(i, k)``
+    and ``(j, l)`` where some ``L_l`` or ``L_r`` is nonzero (unique index
+    tuples, so exact), and the one-sided terms through the diagonal views
+    ``g[..., :, j, :, j]`` and ``g[..., i, :, i, :]`` (writeable ``einsum``
+    views).
     """
-    a, b = h_l.shape[0], h_r.shape[0]
-    g = np.zeros((a, b, a, b), dtype=complex)
+    a, b = h_l.shape[-1], h_r.shape[-1]
+    batch = h_l.shape[:-2]
+    g = np.zeros(batch + (a, b, a, b), dtype=complex)
     k_l, k_r = -1j * h_l, 1j * h_r
     for L_l, L_r, r in jumps:
         if r == 0:
             continue
-        conj_r = L_r.conj()[:, None, :]
-        for i in range(a):
-            g[i] += (r * L_l[i])[None, :, None] * conj_r
-        k_l = k_l - 0.5 * r * (L_l.conj().T @ L_l)
-        k_r = k_r - 0.5 * r * (L_r.conj().T @ L_r)
-    left, right = np.einsum("ijkj->ijk", g), np.einsum("ijil->ijl", g)
-    left += k_l[:, None, :]       # g[:, j, :, j] += k_l, for k_l X
-    right += k_r.T[None, :, :]    # g[i, :, i, :] += k_r.T, for X k_r
-    return g.reshape(a * b, a * b)
+        i, k = _support(L_l)
+        j, l = (i, k) if L_r is L_l else _support(L_r)
+        vals = ((r * L_l[..., i, k])[..., :, None]
+                * L_r[..., j, l].conj()[..., None, :])
+        if vals.size == g.size:
+            g += vals.reshape(batch + (a, a, b, b)).swapaxes(-3, -2)
+        else:
+            g[..., i[:, None], j, k[:, None], l] += vals
+        k_l = k_l - 0.5 * r * (L_l.conj().swapaxes(-1, -2) @ L_l)
+        k_r = k_r - 0.5 * r * (L_r.conj().swapaxes(-1, -2) @ L_r)
+    left = np.einsum("...ijkj->...ijk", g)
+    right = np.einsum("...ijil->...ijl", g)
+    left += k_l[..., :, None, :]                    # for k_l X
+    right += k_r.swapaxes(-1, -2)[..., None, :, :]  # for X k_r
+    return g.reshape(batch + (a * b, a * b))
 
 
 def hamiltonian_superop(h: np.ndarray) -> np.ndarray:

@@ -69,6 +69,22 @@ def rotated_frame_loop(task, substeps=200):
     return rho, v
 
 
+def build_full_generator(c, include_coherent=True):
+    """The coupling's full generator built directly from its jump operator.
+
+    Returns ``D[L]`` plus, when ``include_coherent``, the commutator part
+    ``-i [g A1 B2, .]``.  ``gamma == 0`` (with ``eta == 0``) degenerates to
+    the purely coherent generator.
+    """
+    if c.gamma == 0:
+        gen = np.zeros(((c.d1 * c.d2) ** 2,) * 2, dtype=complex)
+    else:
+        gen = opcore.dissipator_superop(c.jump_operator())
+    if include_coherent and c.g != 0:
+        gen = gen + opcore.hamiltonian_superop(c.coherent_hamiltonian())
+    return gen
+
+
 def left_superop(a):
     """Kronecker superoperator of ``rho -> a @ rho``."""
     return np.kron(a, np.eye(len(a)))
@@ -81,7 +97,7 @@ def right_superop(b):
 
 def expanded_generator(c, include_coherent=True):
     """The coupling's full generator in the expanded four-term form (the
-    cross-check of ``liouville.build_full_generator``)::
+    cross-check of :func:`build_full_generator`)::
 
         gamma D[A1] + (eta^2/gamma) D[B2] − K + eta cos(phi) {A1 B2, .}
 
@@ -125,6 +141,20 @@ def error_upper_bound_absorbed(t, gamma, b_absorbed):
     norm = [np.max(np.abs(np.linalg.eigvalsh(m)))
             for m in (b_absorbed, b_absorbed @ b_absorbed)]
     return float(t / (2.0 * gamma) * (norm[0] ** 2 + norm[1]))
+
+
+def modulation_forms(tones, t):
+    """``circuit.modulation_signal`` (the product form) and the sum form of
+    the drive modulation (the oracle): over every (x, y) tone pair,
+    ``cos((wx+wy)t + px+py)/2 + cos((wx−wy)t + px−py)/2``.  The two agree
+    pointwise by the product-to-sum identity."""
+    t = np.asarray(t, dtype=float)
+    total = np.zeros_like(t)
+    for wx, phx in tones.x_tones:
+        for wy, phy in tones.y_tones:
+            total = total + 0.5 * np.cos((wx + wy) * t + (phx + phy))
+            total = total + 0.5 * np.cos((wx - wy) * t + (phx - phy))
+    return circuit.modulation_signal(tones, t), total
 
 
 def working_point(gamma_z=50.0, n_max=3, lambda_1z=0.25, lambda_23=0.15):

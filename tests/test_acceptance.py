@@ -15,7 +15,8 @@ import pytest
 from emdyn import (bounds, circuit, cli, control, emergent, liouville,
                    opcore)
 
-from conftest import expanded_generator
+from conftest import (build_full_generator, expanded_generator,
+                      modulation_forms)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -45,7 +46,7 @@ def test_criterion_01_generator_equivalence():
             eta=float(rng.uniform(0.0, 2.0)),
             phi=float(rng.uniform(-np.pi, np.pi)),
             g=0.0)
-        direct = liouville.build_full_generator(c, include_coherent=False)
+        direct = build_full_generator(c, include_coherent=False)
         expanded = expanded_generator(c, include_coherent=False)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(expanded - direct)) < 1e-12 * scale
@@ -80,7 +81,7 @@ def test_criterion_03_directionality():
         c = liouville.DissipativeCoupling(A=SZ, B=SX, gamma=gamma, eta=g,
                                           phi=np.pi / 2, g=g)
         rho0 = np.kron(PLUS, P0)
-        full = liouville.propagate(liouville.build_full_generator(c), rho0, t)
+        full = liouville.propagate(build_full_generator(c), rho0, t)
         s1 = opcore.partial_trace(full, (2, 2), [0])
         ref = liouville.propagate(gamma * opcore.dissipator_superop(SZ),
                                   PLUS, t)
@@ -212,7 +213,7 @@ def test_criterion_08_jrm_pipeline():
     ts = circuit.plan_dissipative_tones((5.0, 6.0, 4.0), 12.0, 0.4,
                                         (0.1, 0.7, -0.2))
     times = rng.uniform(0.0, 50.0, size=1000)
-    product, total = circuit.modulation_forms(ts, times)
+    product, total = modulation_forms(ts, times)
     assert np.max(np.abs(product - total)) < 1e-12
     # (c) eliminating the post-rotating-wave model reproduces the nonlocal
     # jump coefficients, including the effective rate Lambda^2 l1z^2/(4 gz)

@@ -5,7 +5,7 @@ import pytest
 from emdyn import emergent, liouville, opcore
 from emdyn.errors import DegenerateFit, ValidationError
 
-from conftest import rand_density, rand_hermitian
+from conftest import build_full_generator, rand_density, rand_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -90,7 +90,7 @@ def test_gap_matches_coherent_unitary_formula(rng):
         rho1, rho2 = rand_density(rng, d1), rand_density(rng, d2)
         t = float(rng.uniform(0.1, 2.0))
         rho0 = np.kron(rho1, rho2)
-        gen = liouville.build_full_generator(c, include_coherent=False)
+        gen = build_full_generator(c, include_coherent=False)
         s2_diss = opcore.partial_trace(liouville.propagate(gen, rho0, t),
                                        (d1, d2), [1])
         u = opcore.expm(c.eta * np.sin(c.phi) * np.kron(c.A, c.B), -1j * t)

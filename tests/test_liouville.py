@@ -12,10 +12,10 @@ from emdyn.errors import (BadEigenindex, DimMismatch, NonPhysicalResult,
                           NotDensityMatrix, NotHermitian, NumericalError,
                           ValidationError)
 
-from conftest import (cascaded_generator, dense_expm_oracle,
-                      expanded_generator, kron_superop, left_superop,
-                      rand_density, rand_hermitian, reduced_s1_generator,
-                      working_point)
+from conftest import (build_full_generator, cascaded_generator,
+                      dense_expm_oracle, expanded_generator, kron_superop,
+                      left_superop, rand_density, rand_hermitian,
+                      reduced_s1_generator, working_point)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -62,15 +62,15 @@ def test_expanded_generator_matches_direct(rng):
                           eta=float(rng.uniform(0, 1.5)) * 0.4,
                           phi=float(rng.uniform(-np.pi, np.pi)),
                           A=rand_hermitian(rng, 2), B=rand_hermitian(rng, 2))
-        direct = liouville.build_full_generator(c, include_coherent=False)
+        direct = build_full_generator(c, include_coherent=False)
         expanded = expanded_generator(c, include_coherent=False)
         npt.assert_allclose(expanded, direct, atol=1e-12)
 
 
 def test_generator_includes_coherent_term():
     c = make_coupling(g=0.7)
-    g_with = liouville.build_full_generator(c)
-    g_without = liouville.build_full_generator(c, include_coherent=False)
+    g_with = build_full_generator(c)
+    g_without = build_full_generator(c, include_coherent=False)
     h = 0.7 * np.kron(SZ, SX)
     npt.assert_allclose(g_with - g_without, opcore.hamiltonian_superop(h),
                         atol=1e-13)
@@ -95,7 +95,7 @@ def test_propagate_guards():
 
 def test_propagate_is_trace_preserving_and_positive(rng):
     c = make_coupling(gamma=3.0, eta=0.9, g=0.4)
-    gen = liouville.build_full_generator(c)
+    gen = build_full_generator(c)
     rho0 = np.kron(rand_density(rng, 2), rand_density(rng, 2))
     rho = liouville.propagate(gen, rho0, 2.0)
     assert abs(np.trace(rho) - 1) < 1e-10
@@ -156,7 +156,7 @@ def _large_norm_t_case():
 def test_closed_form_matches_dense_route(case):
     c, rho0, t = case
     got = liouville.propagate(c, rho0, t)
-    gen = liouville.build_full_generator(c)
+    gen = build_full_generator(c)
     assert np.max(np.abs(got - dense_expm_oracle(gen, rho0, t))) <= 1e-10
     assert np.max(np.abs(got - liouville.propagate(gen, rho0, t))) <= 1e-10
     assert np.max(np.abs(got - got.conj().T)) <= 1e-12
@@ -373,6 +373,28 @@ def test_dense_route_checks_unoccupied_blocks(monkeypatch):
         monkeypatch.setattr(liouville, "_SPLIT_MIN_DIM", split_min_dim)
         with pytest.raises(ValidationError, match="preserve Hermiticity"):
             liouville.propagate(g4.reshape(16, 16), rho0, 1.0)
+
+
+def _generator_models():
+    for n_max in (2, 3):    # criterion 09's forward model
+        params = working_point(gamma_z=50.0, n_max=n_max)
+        tones = circuit.plan_dissipative_tones(
+            params.Omega, params.mode.omega_z, 0.0,
+            (0.0, 1.5 * np.pi, 1.5 * np.pi))
+        yield f"jrm{n_max}", lambda p=params, t=tones: (
+            circuit.build_jrm_effective(p, t, include_three_body=True))
+    yield "system_bath", lambda: circuit.build_system_bath(
+        circuit.SystemBathParams(3.0, 1.5, 100.0, n_max=4), SZ, SX, (0.1, 0.7))
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name)
+                                   for name, build in _generator_models()])
+def test_model_generator_matches_kron_oracle(build):
+    # the assembler writes the jump term at the operators' nonzeros only
+    me = build()
+    h = me.hamiltonian
+    want = kron_superop(h, h, [(L, L, r) for L, r in me.jumps])
+    assert np.max(np.abs(me.generator() - want)) <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n_max", [2, 3])

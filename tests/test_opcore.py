@@ -104,6 +104,47 @@ def test_superop_matches_kron_oracle(a, b, n_jumps, seed):
     assert np.max(np.abs(got - kron_superop(h_l, h_r, jumps))) <= 1e-13
 
 
+@st.composite
+def sparse_superop_cases(draw):
+    """``_superop`` arguments on a×b blocks (a ≠ b included), unbatched or
+    with batch axes, whose operators each have their own random sparsity,
+    from all-zero to dense, per batch member; one to three jumps, with rate
+    0 among them, and ``L_l is L_r`` when a = b and drawn so."""
+    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def op(d, hermitian=False):     # |entry| ≤ 2√2/d keeps |g| below 16
+        m = rng.uniform(-1, 1, size=batch + (d, d, 2)) @ np.array([1, 1j])
+        if hermitian:
+            m = m + m.conj().swapaxes(-1, -2)
+        keep = rng.random(batch + (d, d)) < draw(
+            st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+        return m * (keep & keep.swapaxes(-1, -2) if hermitian else keep) / d
+
+    jumps = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]))
+        L_l = op(a)
+        same = a == b and draw(st.booleans())
+        jumps.append((L_l, L_l if same else op(b), r))
+    return op(a, True), op(b, True), jumps
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_superop_cases())
+def test_sparse_batched_superop_matches_kron_oracle(case):
+    h_l, h_r, jumps = case
+    got = opcore._superop(h_l, h_r, jumps)
+    a, b = h_l.shape[-1], h_r.shape[-1]
+    batch = h_l.shape[:-2]
+    assert got.shape == batch + (a * b, a * b)
+    for n in np.ndindex(*batch):
+        want = kron_superop(h_l[n], h_r[n],
+                            [(L_l[n], L_r[n], r) for L_l, L_r, r in jumps])
+        assert np.max(np.abs(got[n] - want), initial=0.0) <= 1e-14
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_superop_builders_match_kron_oracle(rng, d):
     h, L1, L2 = rand_hermitian(rng, d), rand_op(rng, d), rand_op(rng, d)

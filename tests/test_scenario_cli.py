@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from emdyn import cli, circuit, scenario
 from emdyn.errors import NotHermitian, ParseError, ValidationError
-from emdyn.scenario import (VALID_TASKS, emit_scenario, parse_operator,
-                            parse_scenario, parse_state)
+from emdyn.scenario import (MAX_PAULI_FACTORS, VALID_TASKS, emit_scenario,
+                            parse_operator, parse_scenario, parse_state)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -225,6 +226,44 @@ def test_cli_nonfinite_state_exits_2(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert "initial.rho2 must be finite" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec, plain", [(["1e308", "1e308"], [1, 1]),
+                                         (["1e-320", 0], [1, 0])])
+def test_extreme_ket_normalizes(tmp_path, spec, plain):
+    # entries near the overflow and underflow limits give the same state
+    # as their plain multiples, in parse_state and through cli.run
+    npt.assert_array_equal(parse_state(spec, 2, "initial.rho2"),
+                           parse_state(plain, 2, "initial.rho2"))
+    outputs = []
+    for name, ket in (("extreme", spec), ("plain", plain)):
+        doc = parse_scenario(MINIMAL.replace("task: equivalence",
+                                             "task: simulate")
+                             + f"initial:\n  rho2: {json.dumps(ket)}\n")
+        assert cli.run(doc, tmp_path / name) == 0
+        outputs.append((tmp_path / name / "results.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    with pytest.raises(ValidationError, match="zero vector"):
+        parse_state([0, "0j"], 2, "initial.rho2")
+
+
+@pytest.mark.parametrize("text", [
+    "⊗".join(["sz"] * 20),
+    "⊗".join(["sx"] * (MAX_PAULI_FACTORS + 1)),
+    "sz⊗sz + " + "⊗".join(["id"] * 20)])
+def test_pauli_factor_count_is_bounded(tmp_path, capsys, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINIMAL.replace("B: sx", f"B: {text}"))
+    tracemalloc.start()
+    try:
+        rc = run_cli("equivalence", "--scenario", str(bad))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "field 'system.operators.B'" in capsys.readouterr().err
+    assert peak < 2e6      # one (2**11)² complex matrix alone is 67 MB
 
 
 def test_dense_matrix_operator():
