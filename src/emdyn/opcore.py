@@ -166,13 +166,21 @@ def herm_eig(op: np.ndarray, tol: float = _HERM_TOL) -> SpectralDecomposition:
     return SpectralDecomposition(lams, tuple(projs))
 
 
-def expm(op: np.ndarray, scale: complex = 1.0) -> np.ndarray:
+def expm(op: np.ndarray, scale: complex = 1.0, *,
+         conserved: np.ndarray | None = None) -> np.ndarray:
     """Matrix exponential ``exp(scale * op)`` (scaling-and-squaring Padé).
 
     A real ``op`` with a real ``scale`` stays real, which makes the
     products about four times cheaper than complex ones.  SciPy's real
     path loses accuracy as it squares, so a real argument of 1-norm above 64
     is halved to at most 2 first and the result squared back.
+
+    ``conserved`` is a nonzero real row ``c``.  If ``c @ op`` is zero to
+    1e-14 of the argument's 1-norm (``c`` the trace row of a
+    trace-preserving generator), each square on the halved path has one
+    row (at the first nonzero of ``c``) corrected so that ``c @ e == c``
+    again.  That pins the eigenvalue 1 of ``e``, whose rounding error
+    otherwise doubles with every squaring (about ``2^s u`` after ``s``).
     """
     op = np.asarray(op)
     if op.dtype.kind != "c":
@@ -183,8 +191,15 @@ def expm(op: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     norm = np.abs(a).sum(axis=0).max() if a.dtype.kind != "c" else 0.0
     s = math.ceil(math.log2(norm / 2.0)) if norm > 64.0 else 0
     e = scipy.linalg.expm(a * 0.5 ** s if s else a)
+    w = None
+    if (conserved is not None and s
+            and np.abs(conserved @ a).max() <= 1e-14 * norm):
+        j = np.flatnonzero(conserved)[0]
+        w = conserved / conserved[j]
     for _ in range(s):
         e = e @ e
+        if w is not None:
+            e[j] += w - w @ e       # back to w @ e == w
     return e
 
 
@@ -323,7 +338,10 @@ def expm_superop_apply(gen: np.ndarray, rho: np.ndarray,
     Each block goes through :func:`expm`'s halved real path: at
     ``‖t G‖₁ ≈ 1e5`` SciPy's real ``expm`` errs by up to 2.9e-10, the
     halved one by 1e-11, at 0.9–1.3× the cost (a complex ``expm`` per
-    block would cost 1.5–3.9× at n = 16–256).
+    block would cost 1.5–3.9× at n = 16–256).  The trace row of a block
+    (its diagonal coordinates) goes along as ``conserved``, which pins the
+    trace of a trace-preserving block: a d = 5 Lindblad generator at
+    ``‖t G‖₂ ≈ 1.3e6`` then errs by 5e-12, not 8.6e-11.
     """
     gen = np.asarray(gen, dtype=complex)
     d = np.shape(rho)[0]
@@ -337,9 +355,11 @@ def expm_superop_apply(gen: np.ndarray, rho: np.ndarray,
     y = np.zeros_like(x)
     lab = _components(g)
     one = not lab.any()             # one block: no copies
+    diag = np.arange(d * d) < d     # coordinates of |i><i|: the trace
     for c in [0] if one else np.unique(lab[x != 0]):
         b = slice(None) if one else lab == c
-        e = expm(g[b][:, b], t)
+        tr = diag[b].astype(float)
+        e = expm(g[b][:, b], t, conserved=tr if tr.any() else None)
         y[b] = e @ x[b].real + 1j * (e @ x[b].imag)
     return unvec(u1 * y[j1] + u2 * y[j2], d)
 

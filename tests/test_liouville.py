@@ -199,6 +199,18 @@ def test_hermitian_basis_route_matches_oracle(case):
                       ) <= 1e-10
 
 
+def test_route_keeps_trace_at_large_norm_t(rng):
+    # ‖t G‖ ≈ 1e6: some 20 squarings, which double an unpinned trace error
+    # each time (to 1e-11 and beyond); with the trace pinned it stays at u.
+    for d in (2, 5, 6):
+        jumps = tuple((rand_hermitian(rng, d) + 1j * rand_hermitian(rng, d),
+                       1e3) for _ in range(2))
+        gen = liouville.MasterEquation(rand_hermitian(rng, d), jumps,
+                                       opcore.HilbertSpace((d,))).generator()
+        out = opcore.expm_superop_apply(gen, rand_density(rng, d), 50.0)
+        assert abs(np.trace(out) - 1.0) <= 1e-13
+
+
 def n_real_blocks(gen):
     """Number of blocks the route splits ``gen`` into (in the real basis)."""
     d = int(round(np.sqrt(gen.shape[0])))

@@ -31,6 +31,21 @@ def test_expm_of_zero_is_identity():
     npt.assert_array_equal(opcore.expm(np.zeros((3, 3))), np.eye(3))
 
 
+def test_expm_conserved_row(rng):
+    # a classical rate matrix: its columns sum to zero, so the row of
+    # ones (total probability) is conserved
+    a = rng.uniform(size=(6, 6))
+    a -= np.diag(a.sum(axis=0))
+    ones = np.ones(6)
+    e = opcore.expm(a, 1e3, conserved=ones)
+    assert np.abs(ones @ e - ones).max() <= 1e-14
+    npt.assert_allclose(e, opcore.expm(a, 1e3), atol=1e-9)
+    # a row that a does not conserve leaves the result as it was
+    b = a + np.eye(6)
+    npt.assert_array_equal(opcore.expm(b, 10.0, conserved=ones),
+                           opcore.expm(b, 10.0))
+
+
 def test_trace_distance_pure_vs_mixed():
     rho = np.diag([1.0, 0.0]).astype(complex)
     assert abs(opcore.trace_distance(rho, I2 / 2) - 0.5) < 1e-14
