@@ -104,8 +104,8 @@ def scaling(args) -> dict:
         print(json.dumps(rows[-1]), flush=True)
     for seed, cycle, variant, text in controllability_scenarios():
         s = scenario.parse_scenario(text)
-        c, controls = s.build_coupling(), s.control_operators()
-        lam = float(s.system.get("lambda_a", 1.0))
+        c, controls = s.build_coupling(), list(s.value("system.controls"))
+        lam = s.value("system.lambda_a")
         drift = control.dissipation_induced_drift(c, lam)
         t0 = time.perf_counter()
         dims = control.controllability_delta(c, lam, controls)

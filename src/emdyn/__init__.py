@@ -15,8 +15,8 @@ from .errors import (BadEigenindex, BadFactorIndex, DegenerateFit,
                      RequiresNoPulse, TruncationTooSmall, ValidationError,
                      ZeroPrimaryCoupling)
 from .opcore import (HilbertSpace, SpectralDecomposition, dissipator_superop,
-                     expm, hamiltonian_superop, herm_eig, hs_inner,
-                     partial_trace, tensor, trace_distance, unvec, vec)
+                     expm, herm_eig, hs_inner, partial_trace, tensor,
+                     trace_distance, unvec, vec)
 from .liouville import (ControlPulse, DissipativeCoupling, MasterEquation,
                         propagate, propagate_controlled, reduced_s2_generator)
 from .emergent import (UnitaryMixture, apply_mixture, equivalence_gap,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .errors import RequiresNoPulse, ValidationError
+from .errors import BadEigenindex, RequiresNoPulse, ValidationError
 from .liouville import (ControlPulse, DissipativeCoupling, _check_generator,
                         _checked_states, propagate, propagate_controlled)
 from .opcore import (dissipator_superop, herm_eig, partial_trace, tensor)
@@ -68,17 +68,25 @@ class GateTask:
                     f"pulse duration {total} != task duration {self.t}")
 
 
+def _a_eigenspace(c: DissipativeCoupling, index: int):
+    """Eigenvalue and projector of A's merged eigenspace ``index``; a
+    negative index counts from the largest eigenvalue, as in Python."""
+    dec = herm_eig(c.A)
+    if not -len(dec) <= index < len(dec):
+        raise BadEigenindex(f"eigenindex {index} out of range for "
+                            f"{len(dec)} merged eigenvalues")
+    return float(dec.eigenvalues[index]), dec.projectors[index]
+
+
 def drift_coefficient(task: GateTask) -> float:
     """``lam_a (g + eta sin phi)`` for the task's chosen eigenspace of A."""
-    c = task.coupling
-    dec = herm_eig(c.A)
-    return c.drift(float(dec.eigenvalues[task.a_eigenindex]))
+    return task.coupling.drift(_a_eigenspace(task.coupling,
+                                             task.a_eigenindex)[0])
 
 
 def s1_eigenstate(c: DissipativeCoupling, a_eigenindex: int = -1) -> np.ndarray:
     """A deterministic unit vector in the chosen merged eigenspace of A."""
-    dec = herm_eig(c.A)
-    p = dec.projectors[a_eigenindex]
+    p = _a_eigenspace(c, a_eigenindex)[1]
     for k in range(p.shape[0]):
         v = p[:, k]
         n = np.linalg.norm(v)
@@ -106,8 +114,7 @@ def make_gate_task(coupling: DissipativeCoupling, psi0: np.ndarray, t: float,
     psi0 = psi0 / norm
     if t < 0:
         raise ValidationError("duration must be >= 0")
-    dec = herm_eig(coupling.A)
-    coeff = coupling.drift(float(dec.eigenvalues[a_eigenindex]))
+    coeff = coupling.drift(_a_eigenspace(coupling, a_eigenindex)[0])
     if pulse is None:
         u = opcore.expm(coupling.B, -1j * t * coeff)
     else:
@@ -227,7 +234,7 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
         raise ValidationError("rotated-frame route is for pulsed tasks")
     if c.g != 0:
         raise ValidationError("rotated-frame route assumes g == 0")
-    lam = herm_eig(c.A).eigenvalues[task.a_eigenindex]
+    lam = _a_eigenspace(c, task.a_eigenindex)[0]
     d = c.d2
     gen = dissipator_superop(np.sqrt(c.gamma) * lam * np.eye(d) - np.exp(
         1j * c.phi) * c.eta / np.sqrt(c.gamma) * c.B)

@@ -344,6 +344,21 @@ def effective_coupling_constants(params: CircuitParams) -> EffectiveCoupling:
                              float(beta / params.lambda_1z))
 
 
+def _y_tones(Omega, phi_y) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Both plans' y tones: the frequencies ``Omega1``, ``Omega2 + Omega3``
+    and ``Omega2 − Omega3``, and their phases ``phi_y``, checked."""
+    w1, w2, w3 = (float(w) for w in Omega)
+    if min(w1, w2, w3) <= 0:
+        raise ValidationError(f"Omega must be positive, got {Omega}")
+    if w2 <= w3:
+        raise NegativeToneFrequency(
+            f"difference tone Omega2 − Omega3 = {w2 - w3} is not positive")
+    phi_y = tuple(float(p) for p in phi_y)
+    if len(phi_y) != 3:
+        raise ValidationError("need one phase per y tone")
+    return (w1, w2 + w3, w2 - w3), phi_y
+
+
 def plan_dissipative_tones(Omega, omega_z: float, phi_x1: float, phi_y,
                            collisions=None) -> ToneSet:
     """Pump plan driving the damped mode: one x tone, three y tones.
@@ -354,16 +369,7 @@ def plan_dissipative_tones(Omega, omega_z: float, phi_x1: float, phi_y,
     ``phi_y[m] ± phi_x1``; with ``phi_x1 = 0`` sum and difference phases
     coincide, which is what the effective-model builder requires.
     """
-    w1, w2, w3 = (float(w) for w in Omega)
-    if min(w1, w2, w3) <= 0:
-        raise ValidationError(f"Omega must be positive, got {Omega}")
-    if w2 <= w3:
-        raise NegativeToneFrequency(
-            f"difference tone Omega2 − Omega3 = {w2 - w3} is not positive")
-    phi_y = tuple(float(p) for p in phi_y)
-    if len(phi_y) != 3:
-        raise ValidationError("need one phase per y tone")
-    y_freqs = (w1, w2 + w3, w2 - w3)
+    y_freqs, phi_y = _y_tones(Omega, phi_y)
     derived = []
     for f in y_freqs:
         for sign in (+1.0, -1.0):
@@ -401,16 +407,8 @@ def plan_coherent_tones(Omega, phi_y) -> ToneSet:
     difference product is the positive frequency with the opposite phase
     sign (cosine parity); it is folded and flagged.
     """
-    w1, w2, w3 = (float(w) for w in Omega)
-    if min(w1, w2, w3) <= 0:
-        raise ValidationError(f"Omega must be positive, got {Omega}")
-    if w2 <= w3:
-        raise NegativeToneFrequency(
-            f"difference tone Omega2 − Omega3 = {w2 - w3} is not positive")
-    phi_y = tuple(float(p) for p in phi_y)
-    if len(phi_y) != 3:
-        raise ValidationError("need one phase per y tone")
-    y_freqs = (w1, w2 + w3, w2 - w3)
+    y_freqs, phi_y = _y_tones(Omega, phi_y)
+    w1 = y_freqs[0]
     notes = [f"unused tone at 2*Omega1 = {2 * w1:g}"]
     derived = []
     for f in y_freqs:

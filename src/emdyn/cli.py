@@ -25,8 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__, bounds, circuit, control, emergent, liouville
-from .errors import (DegenerateFit, EmdynError, NumericalError, ParseError,
-                     ValidationError)
+from .errors import DegenerateFit, EmdynError, NumericalError, ValidationError
 from .scenario import VALID_TASKS, Scenario, check_margin, parse_scenario
 
 __all__ = ["main", "run"]
@@ -68,11 +67,6 @@ def _marginal_purities(rho: np.ndarray, dims) -> tuple[float, float]:
 # task runners: each returns (csv_header, csv_rows, report_dict)
 # --------------------------------------------------------------------------
 
-def _times(scenario: Scenario, default=(1.0,)) -> list[float]:
-    sweep = scenario.sweep or {}
-    return [float(t) for t in sweep.get("t", list(default))]
-
-
 def _run_simulate(scenario: Scenario, margin):
     c = scenario.build_coupling()
     rho1 = scenario.initial_state("rho1", c.d1)
@@ -80,7 +74,7 @@ def _run_simulate(scenario: Scenario, margin):
     rho0 = np.kron(rho1, rho2)
     dims = (c.d1, c.d2)
     rows = []
-    for t in _times(scenario):
+    for t in scenario.value("sweep.t"):
         rho = liouville.propagate(c, rho0, t)
         p1, p2 = _marginal_purities(rho, dims)
         purity = float(np.real(np.trace(rho @ rho)))
@@ -99,9 +93,8 @@ def _run_equivalence(scenario: Scenario, margin):
     c = scenario.build_coupling()
     rho1 = scenario.initial_state("rho1", c.d1)
     rho2 = scenario.initial_state("rho2", c.d2)
-    sweep = scenario.sweep or {}
-    gammas = [float(g) for g in sweep.get("gamma", [c.gamma])]
-    times = _times(scenario)
+    gammas = scenario.value("sweep.gamma")
+    times = scenario.value("sweep.t")
     rows = []
     exponents = {}
     for t in times:
@@ -128,9 +121,8 @@ def _run_equivalence(scenario: Scenario, margin):
 
 def _run_controllability(scenario: Scenario, margin):
     c = scenario.build_coupling()
-    controls = scenario.control_operators()
-    lambda_a = float((scenario.system or {}).get("lambda_a", 1.0))
-    n_without, n_with = control.controllability_delta(c, lambda_a, controls)
+    n_without, n_with = control.controllability_delta(
+        c, scenario.value("system.lambda_a"), scenario.value("system.controls"))
     d = c.d2
     full = d * d - 1
     rows = [[float(n_without), float(n_with), float(full)]]
@@ -151,7 +143,7 @@ def _run_bounds(scenario: Scenario, margin):
     w, v = np.linalg.eigh(psi0_rho)
     psi0 = v[:, int(np.argmax(w))]
     rows = []
-    for t in _times(scenario):
+    for t in scenario.value("sweep.t"):
         task = bounds.make_gate_task(c, psi0, t)
         exact = bounds.exact_error_commuting(task)
         ub = bounds.error_upper_bound(task)
@@ -274,21 +266,14 @@ def main(argv=None) -> int:
             raise ValidationError(
                 f"scenario declares task {scenario.task!r} but "
                 f"{args.task!r} was requested")
-        out_dir = args.out
-        if out_dir is None:
-            out_dir = (scenario.output or {}).get("path", "emdyn-out")
+        out_dir = (scenario.value("output.path") if args.out is None
+                   else args.out)
         return run(scenario, out_dir, seed=args.seed, margin=args.margin,
                    scenario_bytes=raw)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except EmdynError as exc:
+    except (OSError, EmdynError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ __all__ = [
     "HilbertSpace", "SpectralDecomposition",
     "tensor", "herm_eig", "expm", "partial_trace",
     "vec", "unvec",
-    "hamiltonian_superop", "dissipator_superop", "expm_superop_apply",
+    "dissipator_superop", "expm_superop_apply",
     "hs_inner", "trace_distance", "frob_norm",
     "is_hermitian", "check_hermitian", "check_density",
     "POSITIVITY_TOL", "DEGENERACY_RTOL",
@@ -113,19 +113,18 @@ def is_hermitian(op: np.ndarray, tol: float = _HERM_TOL) -> bool:
                 <= tol * max(1.0, np.abs(op).sum(axis=1).max()))
 
 
-def check_hermitian(op: np.ndarray, name: str = "operator",
-                    tol: float = _HERM_TOL) -> np.ndarray:
+def check_hermitian(op: np.ndarray, name: str = "operator") -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise DimMismatch(f"{name} must be square, got shape {op.shape}")
-    if not is_hermitian(op, tol):
-        raise NotHermitian(f"{name} is not Hermitian to tolerance {tol}")
+    if not is_hermitian(op):
+        raise NotHermitian(f"{name} is not Hermitian to tolerance {_HERM_TOL}")
     return op
 
 
-def check_density(rho: np.ndarray, name: str = "state",
-                  positivity_tol: float = POSITIVITY_TOL) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, eigenvalues ≥ −tol."""
+def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
+    """Validate a density matrix: Hermitian, unit trace, eigenvalues
+    ≥ −``POSITIVITY_TOL``."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise NotDensityMatrix(f"{name} must be a square matrix")
@@ -135,13 +134,13 @@ def check_density(rho: np.ndarray, name: str = "state",
     if abs(tr - 1.0) > 1e-8:
         raise NotDensityMatrix(f"{name} has trace {tr}, expected 1")
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w.min() < -positivity_tol:
+    if w.min() < -POSITIVITY_TOL:
         raise NotDensityMatrix(
             f"{name} has negative eigenvalue {w.min():.3e} beyond tolerance")
     return rho
 
 
-def herm_eig(op: np.ndarray, tol: float = _HERM_TOL) -> SpectralDecomposition:
+def herm_eig(op: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition with degenerate eigenspaces merged.
 
     Eigenvalues are returned in ascending order.  Two consecutive eigenvalues
@@ -149,7 +148,7 @@ def herm_eig(op: np.ndarray, tol: float = _HERM_TOL) -> SpectralDecomposition:
     relative to the overall spectral spread, and their eigenspaces are merged
     into a single projector.
     """
-    op = check_hermitian(op, tol=tol)
+    op = check_hermitian(op)
     w, v = np.linalg.eigh((op + op.conj().T) / 2)
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
     clusters: list[list[int]] = [[0]]
@@ -412,12 +411,6 @@ def _superop(h_l: np.ndarray, h_r: np.ndarray, jumps=()) -> np.ndarray:
     left += k_l[..., :, None, :]                    # for k_l X
     right += k_r.swapaxes(-1, -2)[..., None, :, :]  # for X k_r
     return g.reshape(batch + (a * b, a * b))
-
-
-def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Superoperator of the coherent part, ``rho -> -i [h, rho]``."""
-    h = np.asarray(h, dtype=complex)
-    return _superop(h, h)
 
 
 def dissipator_superop(L: np.ndarray) -> np.ndarray:

@@ -50,17 +50,20 @@ class _Dumper(yaml.SafeDumper):
 _Dumper.add_representer(str, lambda dumper, s: dumper.represent_scalar(
     "tag:yaml.org,2002:str", s, style='"' if "\x85" in s else None))
 
-_TOP_LEVEL_KEYS = {"name", "task", "seed", "system", "coupling", "sweep",
-                   "initial", "output", "margin", "circuit", "tones"}
+_SECTIONS = ("system", "coupling", "sweep", "initial", "output", "circuit",
+             "tones")
+_TOP_LEVEL_KEYS = {"name", "task", "seed", "margin", *_SECTIONS}
 
 
 @dataclass
 class Scenario:
     """Parsed and validated scenario document.
 
-    Sections are kept as the raw (defaulted) mapping values so that
-    ``parse_scenario(emit_scenario(s)) == s``; resolved operator matrices are
-    available through :meth:`operator` and friends.
+    Sections are kept as the raw mapping values so that
+    ``parse_scenario(emit_scenario(s)) == s``.  :func:`parse_scenario` also
+    checks and converts each field of ``system``, ``coupling``, ``sweep``,
+    ``output``, ``circuit`` and ``tones`` once, with its default filled in;
+    :meth:`value`, :meth:`operator` and the builders read those typed values.
     """
 
     name: str
@@ -74,41 +77,36 @@ class Scenario:
     margin: float | None = None
     circuit: dict | None = None
     tones: dict | None = None
-    _ops: dict = field(default_factory=dict, compare=False, repr=False)
+    _typed: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def value(self, key: str):
+        """The typed field ``key`` (``"sweep.t"``, ``"system.controls"``...),
+        or with a bare section name (``"coupling"``) all of its fields."""
+        section, _, name = key.partition(".")
+        if section not in self._typed:
+            raise ValidationError(f"scenario has no {section} section")
+        return self._typed[section][name] if name else self._typed[section]
 
     def operator(self, name: str) -> np.ndarray:
-        if name not in self._ops:
+        ops = self.value("system.operators")
+        if name not in ops:
             raise ValidationError(f"scenario declares no operator {name!r}")
-        return self._ops[name].copy()
-
-    def control_operators(self) -> list[np.ndarray]:
-        specs = (self.system or {}).get("controls", [])
-        return [parse_operator(s, f"system.controls[{i}]", hermitian=True)
-                for i, s in enumerate(specs)]
+        return ops[name].copy()
 
     def build_coupling(self) -> DissipativeCoupling:
-        if self.coupling is None:
-            raise ValidationError("scenario has no coupling section")
-        c = self.coupling
-        return DissipativeCoupling(
-            A=self.operator("A"), B=self.operator("B"),
-            gamma=float(c["gamma"]), eta=float(c.get("eta", 0.0)),
-            phi=float(c.get("phi", 0.0)), g=float(c.get("g", 0.0)))
+        return DissipativeCoupling(**self.value("coupling"),
+                                   A=self.operator("A"), B=self.operator("B"))
 
     def circuit_params(self) -> tuple[_circuit.CircuitParams, float]:
         """The ``circuit`` section's parameters and its phase ``phi``."""
-        if self.circuit is None:
-            raise ValidationError("scenario has no circuit section")
-        v = _circuit_values(self.circuit)
+        v = dict(self.value("circuit"))
         mode = _circuit.BosonicMode(*v.pop("mode"))
         phi = v.pop("phi")
         return _circuit.CircuitParams(**v, mode=mode), phi
 
     def tone_plan(self) -> _circuit.ToneSet:
         """The pump-tone plan that the ``tones`` section asks for."""
-        if self.tones is None:
-            raise ValidationError("scenario has no tones section")
-        v = _tone_values(self.tones)
+        v = self.value("tones")
         if v["plan"] == "coherent":
             return _circuit.plan_coherent_tones(v["Omega"], v["phi_y"])
         return _circuit.plan_dissipative_tones(
@@ -282,10 +280,16 @@ def parse_state(spec, dim: int, where: str) -> np.ndarray:
 # document parsing
 # --------------------------------------------------------------------------
 
-def _require_mapping(doc: dict, key: str):
-    val = doc.get(key)
-    if val is not None and not isinstance(val, dict):
-        raise ParseError(f"section {key!r} must be a mapping", field=key)
+_KINDS = {dict: "a mapping", list: "a list", str: "a string"}
+
+
+def _optional(sec: dict, key: str, kind: type, where: str = ""):
+    """``sec[key]``, which must be a ``kind`` unless absent or null;
+    ``where`` prefixes the field name in the message."""
+    val = sec.get(key)
+    if val is not None and not isinstance(val, kind):
+        raise ParseError(f"{where}{key} must be {_KINDS[kind]}, got "
+                         f"{type(val).__name__}", field=where + key)
     return val
 
 
@@ -314,6 +318,57 @@ def _field(sec: dict, key: str, where: str, default=None) -> float:
     if default is None:
         raise ParseError(f"{where} requires {key!r}", field=f"{where}.{key}")
     return default
+
+
+def _system_values(sec: dict) -> dict:
+    """Typed ``system`` fields: the operator matrices by name, the control
+    matrices (default none) and ``lambda_a`` (default 1)."""
+    ops = _optional(sec, "operators", dict, "system.") or {}
+    controls = _optional(sec, "controls", list, "system.") or []
+    return {"operators": {name: parse_operator(spec, f"system.operators.{name}")
+                          for name, spec in ops.items()},
+            "controls": tuple(parse_operator(spec, f"system.controls[{i}]")
+                              for i, spec in enumerate(controls)),
+            "lambda_a": _field(sec, "lambda_a", "system", 1.0)}
+
+
+def _coupling_values(sec: dict) -> dict:
+    """Typed ``coupling`` rates: ``gamma`` > 0 is required, ``eta`` ≥ 0,
+    ``phi`` and ``g`` default to 0."""
+    v = {"gamma": _field(sec, "gamma", "coupling")}
+    v.update({key: _field(sec, key, "coupling", 0.0)
+              for key in ("eta", "phi", "g")})
+    if v["gamma"] <= 0:
+        raise ValidationError(f"coupling.gamma must be positive, got "
+                              f"{v['gamma']}")
+    if v["eta"] < 0:
+        raise ValidationError(f"coupling.eta must be nonnegative, got "
+                              f"{v['eta']}")
+    return v
+
+
+def _sweep_values(sec: dict, gamma: float | None) -> dict:
+    """Typed ``sweep`` lists: ``t`` ≥ 0 (default ``[1.0]``) and ``gamma`` > 0
+    (default the coupling's ``gamma``; None without a coupling)."""
+    v = {"t": (1.0,), "gamma": None if gamma is None else (gamma,)}
+    for key in ("t", "gamma"):
+        if sec.get(key) is not None:
+            v[key] = _numbers(sec[key], f"sweep.{key}")
+            if not v[key]:
+                raise ParseError(f"sweep.{key} must be a nonempty list",
+                                 field=f"sweep.{key}")
+    if min(v["t"]) < 0:
+        raise ValidationError(f"sweep.t must be nonnegative, got {min(v['t'])}")
+    if v["gamma"] is not None and min(v["gamma"]) <= 0:
+        raise ValidationError(f"sweep.gamma must be positive, got "
+                              f"{min(v['gamma'])}")
+    return v
+
+
+def _output_values(sec: dict) -> dict:
+    """The typed ``output.path`` (default ``emdyn-out``)."""
+    path = _optional(sec, "path", str, "output.")
+    return {"path": "emdyn-out" if path is None else path}
 
 
 def _circuit_values(sec: dict) -> dict:
@@ -346,7 +401,7 @@ def _tone_values(sec: dict) -> dict:
     plan only."""
     plan = sec.get("plan", "dissipative")
     if plan not in ("dissipative", "coherent"):
-        raise ValidationError(f"unknown tone plan {plan!r}; valid plans: "
+        raise ValidationError(f"unknown tones.plan {plan!r}; valid plans: "
                               "dissipative, coherent")
     v = {"plan": plan,
          "Omega": _numbers(sec.get("Omega"), "tones.Omega", 3),
@@ -386,7 +441,7 @@ def parse_scenario(text: str) -> Scenario:
     task = doc.get("task")
     if task is None:
         raise ParseError("missing required key 'task'", field="task")
-    if not isinstance(task, str) or isinstance(task, bool):
+    if not isinstance(task, str):
         raise ParseError("exactly one task must be given as a string",
                          field="task")
     if task not in VALID_TASKS:
@@ -404,62 +459,20 @@ def parse_scenario(text: str) -> Scenario:
 
     margin = doc.get("margin")
     if margin is not None:
-        check_margin(_number(margin, "margin"))
-        margin = doc["margin"]  # keep the raw value for round-tripping
+        check_margin(_number(margin, "margin"))   # kept raw for round trips
 
-    system = _require_mapping(doc, "system")
-    coupling = _require_mapping(doc, "coupling")
-    sweep = _require_mapping(doc, "sweep")
-    initial = _require_mapping(doc, "initial")
-    output = _require_mapping(doc, "output")
-    circuit = _require_mapping(doc, "circuit")
-    tones = _require_mapping(doc, "tones")
-
-    ops: dict[str, np.ndarray] = {}
-    if system is not None:
-        for op_name, spec in (system.get("operators") or {}).items():
-            ops[op_name] = parse_operator(spec, f"system.operators.{op_name}",
-                                          hermitian=True)
-        for i, spec in enumerate(system.get("controls") or []):
-            parse_operator(spec, f"system.controls[{i}]", hermitian=True)
-
-    if coupling is not None:
-        gamma = coupling.get("gamma")
-        if gamma is None:
-            raise ParseError("coupling requires 'gamma'", field="coupling.gamma")
-        gamma = _number(gamma, "coupling.gamma")
-        if gamma <= 0:
-            raise ValidationError(f"gamma must be positive, got {gamma}")
-        for key in ("eta", "phi", "g"):
-            if key in coupling:
-                _number(coupling[key], f"coupling.{key}")
-        if float(coupling.get("eta", 0.0)) < 0:
-            raise ValidationError("eta must be nonnegative")
-
-    if sweep is not None:
-        for key in ("gamma", "t"):
-            values = sweep.get(key)
-            if values is None:
-                continue
-            if not isinstance(values, list) or not values:
-                raise ParseError(f"sweep.{key} must be a nonempty list",
-                                 field=f"sweep.{key}")
-            for v in values:
-                x = _number(v, f"sweep.{key}")
-                if key == "gamma" and x <= 0:
-                    raise ValidationError(f"sweep gamma must be positive, got {x}")
-                if key == "t" and x < 0:
-                    raise ValidationError(f"sweep t must be nonnegative, got {x}")
-
-    if circuit is not None:
-        _circuit_values(circuit)
-    if tones is not None:
-        _tone_values(tones)
-
-    return Scenario(name=name, task=task, seed=seed, system=system,
-                    coupling=coupling, sweep=sweep, initial=initial,
-                    output=output, margin=margin, circuit=circuit,
-                    tones=tones, _ops=ops)
+    raw = {key: _optional(doc, key, dict) for key in _SECTIONS}
+    typed = {"system": _system_values(raw["system"] or {})}
+    if raw["coupling"] is not None:
+        typed["coupling"] = _coupling_values(raw["coupling"])
+    typed["sweep"] = _sweep_values(raw["sweep"] or {},
+                                   typed.get("coupling", {}).get("gamma"))
+    typed["output"] = _output_values(raw["output"] or {})
+    for key, reader in (("circuit", _circuit_values), ("tones", _tone_values)):
+        if raw[key] is not None:
+            typed[key] = reader(raw[key])
+    return Scenario(name=name, task=task, seed=seed, margin=margin,
+                    _typed=typed, **raw)
 
 
 def load_scenario(path) -> Scenario:
@@ -471,8 +484,7 @@ def emit_scenario(scenario: Scenario) -> str:
     """Serialize back to canonical YAML; inverse of :func:`parse_scenario`."""
     doc = {"name": scenario.name, "task": scenario.task,
            "seed": scenario.seed}
-    for key in ("system", "coupling", "sweep", "initial", "output", "margin",
-                "circuit", "tones"):
+    for key in (*_SECTIONS, "margin"):
         val = getattr(scenario, key)
         if val is not None:
             doc[key] = val

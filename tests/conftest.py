@@ -81,7 +81,7 @@ def build_full_generator(c, include_coherent=True):
     else:
         gen = opcore.dissipator_superop(c.jump_operator())
     if include_coherent and c.g != 0:
-        gen = gen + opcore.hamiltonian_superop(c.coherent_hamiltonian())
+        gen = gen + hamiltonian_superop(c.coherent_hamiltonian())
     return gen
 
 
@@ -93,6 +93,13 @@ def left_superop(a):
 def right_superop(b):
     """Kronecker superoperator of ``rho -> rho @ b``."""
     return np.kron(np.eye(len(b)), np.asarray(b).T)
+
+
+def hamiltonian_superop(h):
+    """Superoperator of the coherent part, ``rho -> -i [h, rho]``, from the
+    library's assembler ``opcore._superop``."""
+    h = np.asarray(h, dtype=complex)
+    return opcore._superop(h, h)
 
 
 def expanded_generator(c, include_coherent=True):
@@ -114,7 +121,7 @@ def expanded_generator(c, include_coherent=True):
                     + phase.conjugate() * left_superop(A1) @ right_superop(B2))
     gen += c.eta * np.cos(c.phi) * (left_superop(ab) + right_superop(ab))
     if include_coherent:
-        gen += opcore.hamiltonian_superop(c.coherent_hamiltonian())
+        gen += hamiltonian_superop(c.coherent_hamiltonian())
     return gen
 
 

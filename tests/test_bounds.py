@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from emdyn import bounds, liouville, opcore
-from emdyn.errors import RequiresNoPulse, ValidationError
+from emdyn.errors import BadEigenindex, RequiresNoPulse, ValidationError
 
 from conftest import (error_upper_bound_absorbed, left_superop,
                       rand_hermitian, rotated_frame_loop)
@@ -42,6 +42,28 @@ def test_drift_coefficient_default_top_eigenvalue():
     c = make_coupling(eta=0.5, g=0.5)
     task = bounds.make_gate_task(c, PLUS, 1.0)
     assert bounds.drift_coefficient(task) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("index", [2, 5, -3])
+def test_out_of_range_eigenindex_raises(index):
+    # a qubit A has two merged eigenvalues: valid indices are -2..1
+    c = make_coupling()
+    with pytest.raises(BadEigenindex, match=f"eigenindex {index}"):
+        bounds.make_gate_task(c, PLUS, 1.0, a_eigenindex=index)
+    with pytest.raises(BadEigenindex):
+        bounds.s1_eigenstate(c, index)
+    task = bounds.GateTask(PLUS, PLUS, 1.0, c, a_eigenindex=index)
+    with pytest.raises(BadEigenindex):
+        bounds.drift_coefficient(task)
+
+
+def test_negative_eigenindex_counts_from_the_top():
+    c = make_coupling(eta=0.5, g=0.5)
+    npt.assert_array_equal(bounds.s1_eigenstate(c, -2),
+                           bounds.s1_eigenstate(c, 0))
+    assert bounds.drift_coefficient(
+        bounds.make_gate_task(c, PLUS, 1.0, a_eigenindex=-2)) == \
+        pytest.approx(-1.0, abs=1e-15)
 
 
 def test_s1_eigenstate_is_eigenvector():

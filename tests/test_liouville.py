@@ -13,9 +13,10 @@ from emdyn.errors import (BadEigenindex, DimMismatch, NonPhysicalResult,
                           ValidationError)
 
 from conftest import (build_full_generator, cascaded_generator,
-                      dense_expm_oracle, expanded_generator, kron_superop,
-                      left_superop, rand_density, rand_hermitian,
-                      reduced_s1_generator, working_point)
+                      dense_expm_oracle, expanded_generator,
+                      hamiltonian_superop, kron_superop, left_superop,
+                      rand_density, rand_hermitian, reduced_s1_generator,
+                      working_point)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -72,7 +73,7 @@ def test_generator_includes_coherent_term():
     g_with = build_full_generator(c)
     g_without = build_full_generator(c, include_coherent=False)
     h = 0.7 * np.kron(SZ, SX)
-    npt.assert_allclose(g_with - g_without, opcore.hamiltonian_superop(h),
+    npt.assert_allclose(g_with - g_without, hamiltonian_superop(h),
                         atol=1e-13)
 
 
@@ -448,7 +449,7 @@ def test_checked_states_covers_every_state_of_a_stack():
 def test_block_route_skips_unoccupied_blocks():
     # dephasing keeps |0><0|, |1><1| and the coherences apart: only the
     # occupied block moves
-    gen = opcore.dissipator_superop(SZ) + opcore.hamiltonian_superop(SZ)
+    gen = opcore.dissipator_superop(SZ) + hamiltonian_superop(SZ)
     npt.assert_array_equal(liouville.propagate(gen, P0, 3.0), P0)
     assert n_real_blocks(gen) == 3
 
@@ -533,7 +534,7 @@ def test_cascaded_generator_identity_a():
     # A = identity: the cascaded form collapses to -i[2 eta B, .] on S2
     c = make_coupling(A=I2, B=SX, gamma=5.0, eta=0.8)
     got = cascaded_generator(c)
-    want = opcore.hamiltonian_superop(2 * 0.8 * np.kron(I2, SX))
+    want = hamiltonian_superop(2 * 0.8 * np.kron(I2, SX))
     npt.assert_allclose(got, want, atol=1e-13)
 
 
@@ -583,5 +584,5 @@ def test_master_equation_generator(rng):
     h = rand_hermitian(rng, 2)
     L = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     me = liouville.MasterEquation(h, ((L, 3.0),), opcore.HilbertSpace((2,)))
-    want = opcore.hamiltonian_superop(h) + 3.0 * opcore.dissipator_superop(L)
+    want = hamiltonian_superop(h) + 3.0 * opcore.dissipator_superop(L)
     npt.assert_allclose(me.generator(), want, atol=1e-13)

