@@ -9,9 +9,11 @@ named by ``OUT``.
 absolute difference of their results.  The oracle is the dense complex
 ``expm`` of the full generator (``perfbench/reference.py``), run once, and
 the library side is the best of three runs, for ``validate_elimination`` at
-n_max 4, 6, 8 and the ring-modulator (JRM) ``propagate`` of its dense
+n_max 4, 6, 8, the ring-modulator (JRM) ``propagate`` of its dense
 generator at n_max 2, 3, 4 (the operating point of
-``tests/conftest.py::working_point``).  The same JRM generator's
+``tests/conftest.py::working_point``) and ``propagate_controlled`` of a
+two-segment pulse at d1×d2 = 2×4, 4×4, 4×6, 3×8, whose oracle evolves each
+segment in turn.  The same JRM generator's
 Kronecker-product build (``tests/conftest.py::kron_superop``) is timed
 against ``MasterEquation.generator``, both best of three.  The pulsed
 gates' rotated frame at d2 = 2, 4, 8 is timed against its per-substep loop
@@ -22,7 +24,7 @@ against the complex ``expm`` oracle; here the library side is the median of
 ``DENSE_REPEATS`` calls.  So are the assembly rows, against the Kronecker
 build: every occupied block pair's generator of ``validate_elimination``'s
 rotated model at n_max 4, 6, 8 (one batched ``_superop`` call per block
-shape; the parent makes one call per pair), its eliminated dissipator at
+shape), its eliminated dissipator at
 D = 4 and the rotated frame's dense ``D[M]`` at d2 = 2, 4, 8.  With
 ``--parent DIR`` every library call is also
 timed on the parent checkout's ``emdyn`` (imported as ``emdyn_parent``),
@@ -57,11 +59,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
 import emdyn  # noqa: E402
-from conftest import (kron_superop, rand_hermitian,  # noqa: E402
-                      rotated_frame_loop, working_point)
+from conftest import (kron_superop, rand_density,  # noqa: E402
+                      rand_hermitian, rotated_frame_loop, working_point)
 from perfbench import reference  # noqa: E402
 
-OUT = ROOT / "BENCH_9.json"
+OUT = ROOT / "BENCH_11.json"
 DENSE_REPEATS = 2000
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -139,9 +141,14 @@ def elimination_point(em, n_max):
 def pair_assembly(em, n_max):
     """The generators of every block pair of ``elimination_point``'s rotated
     model (all are occupied there): one batched ``_superop`` call per block
-    shape, or, on the parent, one call per pair."""
-    model = em.circuit._system_diagonal(elimination_model(em, n_max)[2], 4)[1]
-    h, jumps = model.hamiltonian, [(op, r) for op, r in model.jumps if r]
+    shape.  A tree without ``liouville._leading_eigenbasis`` rotates with
+    ``circuit._system_diagonal``."""
+    full = elimination_model(em, n_max)[2]
+    if hasattr(em.liouville, "_leading_eigenbasis"):
+        _, h, jumps = em.liouville._leading_eigenbasis(full)
+    else:
+        model = em.circuit._system_diagonal(full, 4)[1]
+        h, jumps = model.hamiltonian, [(op, r) for op, r in model.jumps if r]
     pattern = h != 0
     for op, _ in jumps:
         pattern |= op != 0
@@ -151,9 +158,10 @@ def pair_assembly(em, n_max):
     def sub(op, i, j):
         return op[np.ix_(i, j)]
 
-    def per_pair(gens=em.opcore._superop):
-        return [gens(sub(h, i, i), sub(h, j, j),
-                     [(sub(op, i, i), sub(op, j, j), r) for op, r in jumps])
+    def per_pair():
+        return [kron_superop(sub(h, i, i), sub(h, j, j),
+                             [(sub(op, i, i), sub(op, j, j), r)
+                              for op, r in jumps])
                 for i, j in pairs]
 
     def batched():
@@ -164,8 +172,32 @@ def pair_assembly(em, n_max):
             [(op[ia[:, :, None], ia[:, None, :]],
               op[ib[:, :, None], ib[:, None, :]], r) for op, r in jumps])
 
-    return (lambda: per_pair(kron_superop),
-            batched if em is emdyn else per_pair)
+    return per_pair, batched
+
+
+def controlled_point(em, dims):
+    """``propagate_controlled`` of a two-segment pulse on d1×d2 levels with
+    a non-diagonal ``A``, against the dense oracle of each segment."""
+    d1, d2 = dims
+    rng = np.random.default_rng([11, d1, d2])
+    A, B, h1, h2 = (x / np.abs(x).sum(0).max() for x in (
+        rand_hermitian(rng, d) for d in (d1, d2, d2, d2)))
+    c = em.liouville.DissipativeCoupling(A=A, B=B, gamma=20.0, eta=0.6,
+                                         phi=np.pi / 2, g=0.3)
+    pulse = em.liouville.ControlPulse(
+        segments=((0.4, (1.0, -0.5)), (0.6, (0.2, 0.8))),
+        hamiltonians=(h1, h2))
+    rho0 = rand_density(rng, d1 * d2)
+
+    def oracle():
+        rho = rho0
+        for k, (dur, _) in enumerate(pulse.segments):
+            rho = reference.evolve(reference.coupling_generator(
+                A, B, c.gamma, c.eta, c.phi, c.g,
+                pulse.segment_hamiltonian(k)), rho, dur)
+        return rho
+
+    return oracle, lambda: em.liouville.propagate_controlled(c, pulse, rho0)
 
 
 def dissipator_build(em, d, kind):
@@ -255,6 +287,8 @@ CASES = (
     # of DENSE_REPEATS calls)
     ("validate_elimination", elimination_point, (4, 6, 8), 1, 3),
     ("jrm_propagate", jrm_point, (2, 3, 4), 1, 3),
+    ("propagate_controlled", controlled_point,
+     ((2, 4), (4, 4), (4, 6), (3, 8)), 1, 3),
     ("jrm_generator_build", jrm_build, (2, 3, 4), 3, 3),
     ("rotated_frame", rotated_frame, (2, 4, 8), 1, 3),
     ("dense_call.no_zero", lambda em, d: dense_call(em, d, "no_zero"),

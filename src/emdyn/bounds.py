@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .errors import BadEigenindex, RequiresNoPulse, ValidationError
-from .liouville import (ControlPulse, DissipativeCoupling, _check_generator,
-                        _checked_states, propagate, propagate_controlled)
+from .errors import RequiresNoPulse, ValidationError
+from .liouville import (ControlPulse, DissipativeCoupling, _a_eigenspace,
+                        _check_generator, _checked_states, propagate,
+                        propagate_controlled)
 from .opcore import (dissipator_superop, herm_eig, partial_trace, tensor)
 
 __all__ = [
@@ -66,16 +67,6 @@ class GateTask:
             if abs(total - self.t) > 1e-9 * max(1.0, self.t):
                 raise ValidationError(
                     f"pulse duration {total} != task duration {self.t}")
-
-
-def _a_eigenspace(c: DissipativeCoupling, index: int):
-    """Eigenvalue and projector of A's merged eigenspace ``index``; a
-    negative index counts from the largest eigenvalue, as in Python."""
-    dec = herm_eig(c.A)
-    if not -len(dec) <= index < len(dec):
-        raise BadEigenindex(f"eigenindex {index} out of range for "
-                            f"{len(dec)} merged eigenvalues")
-    return float(dec.eigenvalues[index]), dec.projectors[index]
 
 
 def drift_coefficient(task: GateTask) -> float:

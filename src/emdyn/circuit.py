@@ -144,7 +144,6 @@ class SystemBathParams:
     lambda2: float
     gamma_a: float
     n_max: int = 6
-    detuning: float = 0.0
 
     def __post_init__(self):
         if self.gamma_a <= 0:
@@ -203,14 +202,10 @@ def build_system_bath(params: SystemBathParams, A: np.ndarray, B: np.ndarray,
     """Resonant system-bath model: two quadrature couplings to a damped mode.
 
     ``H = lambda1 X_{phi1} A1 + lambda2 X_{phi2} B2`` with damping
-    ``gamma_a D[a]``.  A nonzero detuning is rejected (the model is built in
-    the resonant frame).  Raises :class:`TruncationTooSmall` when the driven
-    occupation estimate exceeds half the Fock cutoff.
+    ``gamma_a D[a]``, in the frame resonant with the mode.  Raises
+    :class:`TruncationTooSmall` when the driven occupation estimate exceeds
+    half the Fock cutoff.
     """
-    if params.detuning != 0.0:
-        raise ValidationError(
-            "nonzero mode detuning is not supported; the interaction must be "
-            "resonant")
     phi1, phi2 = phases
     A = opcore.check_hermitian(A, "A")
     B = opcore.check_hermitian(B, "B")
@@ -232,92 +227,26 @@ def build_system_bath(params: SystemBathParams, A: np.ndarray, B: np.ndarray,
                           HilbertSpace((d1, d2, dm)))
 
 
-def _joint_eigenbasis(ops, d: int) -> np.ndarray:
-    """Unitary whose columns refine the eigenspaces of each Hermitian ``op``.
-
-    Starting from one d-dimensional space, each operator in turn is
-    diagonalized inside every current eigenspace, which is then split where
-    consecutive eigenvalues differ by more than ``DEGENERACY_RTOL`` times the
-    operator's largest one (the rule of :func:`opcore.herm_eig`).  For
-    commuting operators the columns are a joint eigenbasis; otherwise the
-    result is some unitary, and the caller checks what it achieves.
-    """
-    spaces = [np.eye(d, dtype=complex)]
-    for op in ops:
-        if all(u.shape[1] == 1 for u in spaces):
-            break
-        eigs = [np.linalg.eigh(u.conj().T @ op @ u) for u in spaces]
-        scale = max(np.abs(w).max() for w, _ in eigs)
-        spaces = [part for u, (w, v) in zip(spaces, eigs) for part in np.split(
-            u @ v, np.flatnonzero(np.diff(w) > opcore.DEGENERACY_RTOL * scale)
-            + 1, axis=1)]
-    return np.hstack(spaces)
-
-
-def _system_diagonal(full: MasterEquation, ds: int
-                     ) -> tuple[np.ndarray, MasterEquation]:
-    """``(U, model)``: ``full`` rotated by ``U ⊗ 1`` so that the system parts
-    ``S_nn'`` of its Hamiltonian and jumps (``op = Σ S_nn' ⊗ |n><n'|``) are
-    diagonal, with their rounding-level off-diagonal part set to exact zero.
-
-    ``U`` is the joint eigenbasis of the Hermitian and anti-Hermitian halves
-    of every ``S_nn'``.  When the rotated parts keep an off-diagonal entry
-    beyond 1e-12 times the operator's largest entry (the parts do not
-    commute), ``(1, full)`` is returned unchanged.
-    """
-    dm = full.space.total_dim // ds
-    ops = [full.hamiltonian] + [op for op, _ in full.jumps]
-    parts = np.concatenate([
-        op.reshape(ds, dm, ds, dm).transpose(1, 3, 0, 2).reshape(-1, ds, ds)
-        for op in ops])
-    adj = parts.conj().swapaxes(1, 2)
-    halves = np.stack([(parts + adj) / 2, (parts - adj) / 2j], axis=1)
-    u = _joint_eigenbasis(halves[halves.any(axis=(2, 3))], ds)
-    uf = opcore._kron(u, np.eye(dm))
-    diagonal = opcore._kron(np.eye(ds), np.ones((dm, dm))) != 0
-    rotated = []
-    for op in ops:
-        r = uf.conj().T @ op @ uf
-        if np.abs(r[~diagonal]).max(initial=0) > 1e-12 * np.abs(op).max():
-            return np.eye(ds), full
-        rotated.append(np.where(diagonal, r, 0))
-    h, *jumps = rotated
-    return u, MasterEquation(
-        h, tuple((op, rate) for op, (_, rate) in zip(jumps, full.jumps)),
-        full.space)
-
-
 def validate_elimination(full: MasterEquation, L_eff: np.ndarray,
                          rho0: np.ndarray, t: float) -> float:
     """Trace distance between full and eliminated dynamics at time ``t``.
 
     ``full`` lives on system ⊗ mode (mode last, initialized in vacuum);
     ``L_eff`` and ``rho0`` live on the system alone.  The distance shrinks
-    roughly like ``1/gamma_a`` as the mode damping grows.
-
-    When the system parts of ``full``'s Hamiltonian and jumps commute (as
-    for the couplings ``A ⊗ 1`` and ``1 ⊗ B`` of :func:`build_system_bath`),
-    the full model is propagated in their joint eigenbasis, where its
-    Hamiltonian and jumps are block diagonal over the system levels, and
-    the system marginal is rotated back.  The rotated model itself goes to
-    :func:`propagate`, which evolves each system matrix element ``|k><l|``
-    with its mode operator as an exact invariant block, built from the
-    operators' blocks; the full generator is never formed.  Otherwise the
-    model is propagated unrotated on the same route.
+    roughly like ``1/gamma_a`` as the mode damping grows.  :func:`propagate`
+    evolves ``full`` in the joint eigenbasis of its system parts when they
+    commute (as for the couplings ``A ⊗ 1`` and ``1 ⊗ B`` of
+    :func:`build_system_bath`), one block per system matrix element.
     """
     dims = full.space.factor_dims
-    dm = dims[-1]
     sys_dims = dims[:-1]
     d_sys = int(np.prod(sys_dims))
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d_sys, d_sys):
         raise ValidationError(
             f"rho0 shape {rho0.shape} does not match system dims {sys_dims}")
-    u, model = _system_diagonal(full, d_sys)
-    rho_full0 = tensor([u.conj().T @ rho0 @ u, fock_vacuum(dm)])
-    rho_full = propagate(model, rho_full0, t)
-    sys_marginal = u @ partial_trace(rho_full, dims, range(len(sys_dims))) \
-        @ u.conj().T
+    rho_full = propagate(full, tensor([rho0, fock_vacuum(dims[-1])]), t)
+    sys_marginal = partial_trace(rho_full, dims, range(len(sys_dims)))
     rho_eff = propagate(dissipator_superop(L_eff), rho0, t)
     return trace_distance(sys_marginal, rho_eff)
 

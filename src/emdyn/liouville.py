@@ -153,9 +153,10 @@ class MasterEquation:
     """Hamiltonian plus jump operators with rates, on a fixed space.
 
     :meth:`generator` assembles the dense row-vectorized d²×d² generator.
-    :func:`propagate` takes the model itself and never forms it: it
-    evolves the exact invariant blocks that the operators' zeros give,
-    each from its own small generator.
+    :func:`propagate` takes the model itself and never forms it: in the
+    joint eigenbasis of the operators' leading-factor parts, when they
+    commute, it evolves the exact invariant blocks that the operators'
+    zeros give, each from its own small generator.
     """
 
     hamiltonian: np.ndarray
@@ -187,20 +188,27 @@ class MasterEquation:
 # generators
 # --------------------------------------------------------------------------
 
+def _a_eigenspace(c: DissipativeCoupling, index: int):
+    """Eigenvalue and projector of A's merged eigenspace ``index``; a
+    negative index counts from the largest eigenvalue, as in Python."""
+    dec = herm_eig(c.A)
+    if not -len(dec) <= index < len(dec):
+        raise BadEigenindex(f"eigenindex {index} out of range for "
+                            f"{len(dec)} merged eigenvalues")
+    return float(dec.eigenvalues[index]), dec.projectors[index]
+
+
 def reduced_s2_generator(c: DissipativeCoupling, j: int) -> tuple[float, float]:
     """Reduced S2 generator coefficients for S1 in eigenspace ``j`` of A.
 
     Returns ``(drift, rate)`` where the S2 marginal obeys
     ``d rho2/dt = -i drift [B, rho2] + rate D[B] rho2`` with
     ``drift = lam_j (g + eta sin phi)`` and ``rate = eta^2/gamma``.
-    Eigen-index ``j`` addresses the merged ascending spectrum of ``A``.
+    Eigen-index ``j`` addresses the merged ascending spectrum of ``A``; a
+    negative one counts from the largest eigenvalue.
     """
-    dec = herm_eig(c.A)
-    if not (0 <= j < len(dec)):
-        raise BadEigenindex(
-            f"eigenindex {j} out of range for {len(dec)} merged eigenvalues")
     rate = 0.0 if c.eta == 0 else c.eta ** 2 / c.gamma
-    return c.drift(float(dec.eigenvalues[j])), rate
+    return c.drift(_a_eigenspace(c, j)[0]), rate
 
 
 # --------------------------------------------------------------------------
@@ -266,13 +274,51 @@ def _evolve_blocks(comps, block_gens, rho0: np.ndarray,
     return rho
 
 
+def _leading_eigenbasis(me: MasterEquation):
+    """``(W, H, jumps)``: ``me``'s Hamiltonian and nonzero-rate jumps
+    ``(L, rate)`` rotated by ``W = U ⊗ 1`` over its leading factors (all but
+    the last), where their parts ``S_nn'`` (``op = Σ S_nn' ⊗ |n><n'|``) are
+    diagonal; rounding-level off-diagonal entries are set to exact zero.
+
+    ``U`` is the eigenbasis of one Hermitian matrix: the Hermitian and
+    anti-Hermitian halves of every part, each operator's scaled by its
+    largest entry, with fixed distinct positive weights.  For commuting
+    parts that is a joint eigenbasis, unless the weights merge two joint
+    eigenvalues by accident.  When a rotated part keeps an off-diagonal
+    entry above 1e-12 times its operator's largest entry (non-commuting
+    parts, or such an accident), they come back unrotated, with ``W = 1``.
+    """
+    d = me.space.total_dim
+    dm = me.space.factor_dims[-1]
+    ds = d // dm
+    jumps = [(op, r) for op, r in me.jumps if r != 0]
+    ops = [me.hamiltonian] + [op for op, _ in jumps]
+    parts = np.concatenate([
+        op.reshape(ds, dm, ds, dm).transpose(1, 3, 0, 2).reshape(-1, ds * ds)
+        / (np.abs(op).max() or 1.0) for op in ops])
+    # weights 1/2 + frac(k/phi), phi the golden ratio; x + xᴴ weighs the
+    # halves (S + Sᴴ)/2 and (S − Sᴴ)/2i of each part S alike
+    weights = np.arange(len(parts)) * 0.6180339887498949 % 1 + 0.5
+    x = ((1 - 1j) * weights @ parts).reshape(ds, ds)
+    w = opcore._kron(np.linalg.eigh(x + x.conj().T)[1], np.eye(dm))
+    level = np.arange(d) // dm
+    diagonal = level[:, None] == level
+    rotated = []
+    for op in ops:
+        r = w.conj().T @ op @ w
+        if np.abs(r[~diagonal]).max(initial=0) > 1e-12 * np.abs(op).max():
+            return np.eye(d), me.hamiltonian, jumps
+        rotated.append(np.where(diagonal, r, 0))
+    return w, rotated[0], [(l, r) for l, (_, r) in zip(rotated[1:], jumps)]
+
+
 def _evolve_master_equation(me: MasterEquation, rho0: np.ndarray,
                             t: float) -> np.ndarray:
-    """``H`` and the nonzero-rate jumps are block diagonal over the
-    components ``I_a`` of their joint nonzero pattern, so ``rho[I_a, I_b]``
-    evolves alone under ``_superop(H_aa, H_bb, L_aa, L_bb)``."""
-    h = me.hamiltonian
-    jumps = [(op, r) for op, r in me.jumps if r != 0]
+    """In the frame ``W`` of :func:`_leading_eigenbasis`, ``H`` and the
+    nonzero-rate jumps are block diagonal over the components ``I_a`` of
+    their joint nonzero pattern, so ``rho[I_a, I_b]`` evolves alone under
+    ``_superop(H_aa, H_bb, L_aa, L_bb)``; the result is rotated back."""
+    w, h, jumps = _leading_eigenbasis(me)
     pattern = h != 0
     for op, _ in jumps:
         pattern |= op != 0
@@ -284,7 +330,9 @@ def _evolve_master_equation(me: MasterEquation, rho0: np.ndarray,
                                [(sub(op, ia), sub(op, ib), r)
                                 for op, r in jumps])
 
-    return _evolve_blocks(_blocks(pattern), block_gens, rho0, t)
+    wh = w.conj().T
+    return w @ _evolve_blocks(_blocks(pattern), block_gens, wh @ rho0 @ w,
+                              t) @ wh
 
 
 def _nonzero(gen: np.ndarray) -> np.ndarray:
@@ -371,16 +419,19 @@ def propagate(model: DissipativeCoupling | MasterEquation | np.ndarray,
     eigenbasis of ``A`` and ``B`` (its full generator, coherent term
     included).  A :class:`MasterEquation` and a dense row-vectorized
     generator ``gen`` are evolved over the exact invariant blocks
-    ``rho[I_a, I_b]`` of the generator (:func:`_evolve_blocks`), built from
-    the model's operator blocks, all occupied pairs of one block shape in
-    one batched assembly (the d²×d² generator is never formed), or sliced
-    out of ``gen`` by its nonzero pattern, read in one scan that also serves
-    the Hermiticity check; below ``d = _SPLIT_MIN_DIM``, or unsplit, ``gen``
-    goes whole to the real-basis :func:`opcore.expm_superop_apply`.  A
-    non-Hermitian Hamiltonian, or a ``gen`` that does not preserve
+    ``rho[I_a, I_b]`` of the generator (:func:`_evolve_blocks`).  The
+    model is first rotated over its leading factors into the joint
+    eigenbasis of their parts when they commute
+    (:func:`_leading_eigenbasis`), and its blocks are built from the
+    operator blocks, all occupied pairs of one block shape in one batched
+    assembly (the d²×d² generator is never formed).  ``gen``'s blocks are
+    sliced out of it by its nonzero pattern, read in one scan that also
+    serves the Hermiticity check; below ``d = _SPLIT_MIN_DIM``, or unsplit,
+    ``gen`` goes whole to the real-basis :func:`opcore.expm_superop_apply`.
+    A non-Hermitian Hamiltonian, or a ``gen`` that does not preserve
     Hermiticity in any block, raises :class:`ValidationError` at every
-    ``t``.  The complex ``expm`` of the
-    generator is the test oracle for every route.
+    ``t``.  The complex ``expm`` of the generator is the test oracle for
+    every route.
 
     ``rho0`` must be Hermitian (:class:`NotHermitian` otherwise) with no
     eigenvalue below ``-POSITIVITY_TOL`` (:class:`NotDensityMatrix`
@@ -425,8 +476,10 @@ def propagate_controlled(c: DissipativeCoupling, pulse: ControlPulse | None,
 
     Each segment evolves the :class:`MasterEquation` with Hamiltonian
     ``g A1 B2 + 1 ⊗ H_seg`` and jump ``L`` (none when ``gamma == 0``) for
-    its duration; segments are applied in order.  With ``pulse=None`` this
-    is a no-op returning ``rho0`` (zero total duration).
+    its duration; segments are applied in order.  Its S1 parts, ``A`` and
+    ``1``, commute, so :func:`propagate` evolves it in ``A``'s eigenbasis,
+    one block per pair of those eigenvectors.  With ``pulse=None`` this is
+    a no-op returning ``rho0`` (zero total duration).
     """
     rho = np.asarray(rho0, dtype=complex)
     if pulse is None or not pulse.segments:

@@ -311,6 +311,15 @@ def _numbers(values, where: str, length: int | None = None) -> tuple:
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
+def _known(sec: dict, keys, where: str) -> dict:
+    """``sec``, which may hold no key outside ``keys``."""
+    for key in sec:
+        if key not in keys:
+            raise ParseError(f"unknown key {where}.{key}; valid keys: "
+                             f"{', '.join(keys)}", field=f"{where}.{key}")
+    return sec
+
+
 def _field(sec: dict, key: str, where: str, default=None) -> float:
     """``sec[key]`` as a finite number; required when ``default`` is None."""
     if key in sec:
@@ -323,6 +332,7 @@ def _field(sec: dict, key: str, where: str, default=None) -> float:
 def _system_values(sec: dict) -> dict:
     """Typed ``system`` fields: the operator matrices by name, the control
     matrices (default none) and ``lambda_a`` (default 1)."""
+    _known(sec, ("operators", "controls", "lambda_a"), "system")
     ops = _optional(sec, "operators", dict, "system.") or {}
     controls = _optional(sec, "controls", list, "system.") or []
     return {"operators": {name: parse_operator(spec, f"system.operators.{name}")
@@ -335,6 +345,7 @@ def _system_values(sec: dict) -> dict:
 def _coupling_values(sec: dict) -> dict:
     """Typed ``coupling`` rates: ``gamma`` > 0 is required, ``eta`` ≥ 0,
     ``phi`` and ``g`` default to 0."""
+    _known(sec, ("gamma", "eta", "phi", "g"), "coupling")
     v = {"gamma": _field(sec, "gamma", "coupling")}
     v.update({key: _field(sec, key, "coupling", 0.0)
               for key in ("eta", "phi", "g")})
@@ -350,6 +361,7 @@ def _coupling_values(sec: dict) -> dict:
 def _sweep_values(sec: dict, gamma: float | None) -> dict:
     """Typed ``sweep`` lists: ``t`` ≥ 0 (default ``[1.0]``) and ``gamma`` > 0
     (default the coupling's ``gamma``; None without a coupling)."""
+    _known(sec, ("t", "gamma"), "sweep")
     v = {"t": (1.0,), "gamma": None if gamma is None else (gamma,)}
     for key in ("t", "gamma"):
         if sec.get(key) is not None:
@@ -366,9 +378,17 @@ def _sweep_values(sec: dict, gamma: float | None) -> dict:
 
 
 def _output_values(sec: dict) -> dict:
-    """The typed ``output.path`` (default ``emdyn-out``)."""
-    path = _optional(sec, "path", str, "output.")
+    """The typed ``output.path`` (default ``emdyn-out``), a string with no
+    NUL, which no file system takes."""
+    path = _optional(_known(sec, ("path",), "output"), "path", str, "output.")
+    if path is not None and "\0" in path:
+        raise ParseError("output.path must not hold a NUL character",
+                         field="output.path")
     return {"path": "emdyn-out" if path is None else path}
+
+
+_CIRCUIT_REQUIRED = ("E_J", "phi_ext", "lambda_1z", "lambda_2z", "lambda_3z")
+_CIRCUIT_UNIT = ("phi0", "phi_z0", "alpha_x", "alpha_y")    # default 1
 
 
 def _circuit_values(sec: dict) -> dict:
@@ -376,18 +396,19 @@ def _circuit_values(sec: dict) -> dict:
     ``Omega``, and ``mode`` as ``(n_max, omega_z, gamma_z)`` with an integer
     ``n_max``.  Malformed fields raise :class:`ParseError` or
     :class:`ValidationError` naming the field."""
+    _known(sec, (*_CIRCUIT_REQUIRED, *_CIRCUIT_UNIT, "Omega", "mode", "phi"),
+           "circuit")
     mode = sec.get("mode")
     if not isinstance(mode, dict):
         raise ParseError("circuit requires a mode mapping",
                          field="circuit.mode")
+    _known(mode, ("n_max", "omega_z", "gamma_z"), "circuit.mode")
     n_max = mode.get("n_max")
     if not isinstance(n_max, int) or isinstance(n_max, bool):
         raise ParseError(f"circuit.mode.n_max must be an integer, got "
                          f"{n_max!r}", field="circuit.mode.n_max")
-    v = {key: _field(sec, key, "circuit") for key in
-         ("E_J", "phi_ext", "lambda_1z", "lambda_2z", "lambda_3z")}
-    v.update({key: _field(sec, key, "circuit", 1.0) for key in
-              ("phi0", "phi_z0", "alpha_x", "alpha_y")})
+    v = {key: _field(sec, key, "circuit") for key in _CIRCUIT_REQUIRED}
+    v.update({key: _field(sec, key, "circuit", 1.0) for key in _CIRCUIT_UNIT})
     v["Omega"] = _numbers(sec.get("Omega"), "circuit.Omega", 3)
     v["mode"] = (n_max, _field(mode, "omega_z", "circuit.mode"),
                  _field(mode, "gamma_z", "circuit.mode"))
@@ -399,6 +420,8 @@ def _tone_values(sec: dict) -> dict:
     """Typed values of a ``tones`` section, checked like
     :func:`_circuit_values`; ``omega_z`` is required by the dissipative
     plan only."""
+    _known(sec, ("plan", "Omega", "phi_y", "phi_x1", "collisions", "omega_z"),
+           "tones")
     plan = sec.get("plan", "dissipative")
     if plan not in ("dissipative", "coherent"):
         raise ValidationError(f"unknown tones.plan {plan!r}; valid plans: "
@@ -462,6 +485,7 @@ def parse_scenario(text: str) -> Scenario:
         check_margin(_number(margin, "margin"))   # kept raw for round trips
 
     raw = {key: _optional(doc, key, dict) for key in _SECTIONS}
+    _known(raw["initial"] or {}, ("rho1", "rho2", "psi0"), "initial")
     typed = {"system": _system_values(raw["system"] or {})}
     if raw["coupling"] is not None:
         typed["coupling"] = _coupling_values(raw["coupling"])

@@ -332,8 +332,49 @@ def component_models(draw):
     return me, bad, rho0, draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0]))
 
 
-@settings(max_examples=150, deadline=None)
-@given(component_models())
+@st.composite
+def rotated_models(draw):
+    """A model on ds ⊗ dm whose leading parts commute but are not diagonal,
+    or, sometimes, do not commute.
+
+    In the basis ``V ⊗ 1`` (``V`` a random unitary on the leading factor)
+    ``H`` and one or two jumps are ``Σ_k |k><k| ⊗ M_k``, with some leading
+    levels sharing their ``M_k``, so their leading parts are merged
+    eigenspaces; one more dense jump has rate 0.  The non-commuting kind
+    adds ``X ⊗ M`` to ``H`` for a random Hermitian ``X`` and ``M``.  The
+    state is a random density matrix or a product with the mode's ground
+    state; ``bad`` is ``H`` plus a non-Hermitian term.
+    """
+    ds, dm = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    v = np.linalg.qr(rng.normal(size=(ds, ds))
+                     + 1j * rng.normal(size=(ds, ds)))[0]
+    level = rng.integers(0, ds, size=ds)    # levels that share an operator
+
+    def diagonal_in_v(make):
+        ms = [make(dm) for _ in range(ds)]
+        return sum(np.kron(np.outer(v[:, k], v[:, k].conj()), ms[level[k]])
+                   for k in range(ds))
+
+    def rand_op(n):
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    h = diagonal_in_v(lambda n: rand_hermitian(rng, n))
+    if draw(st.booleans()):
+        h = h + np.kron(rand_hermitian(rng, ds), rand_hermitian(rng, dm))
+    jumps = [(diagonal_in_v(rand_op), 10 ** draw(st.floats(-2.0, 2.0)))
+             for _ in range(draw(st.integers(1, 2)))]
+    jumps.append((rand_op(ds * dm), 0.0))
+    me = liouville.MasterEquation(h, tuple(jumps),
+                                  opcore.HilbertSpace((ds, dm)))
+    rho0 = (rand_density(rng, ds * dm) if draw(st.booleans()) else
+            np.kron(rand_density(rng, ds), circuit.fock_vacuum(dm)))
+    bad = [h + 1j * np.kron(rand_hermitian(rng, ds), np.eye(dm))]
+    return me, bad, rho0, draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(component_models(), rotated_models()))
 def test_master_equation_route_matches_oracle(case):
     me, bad, rho0, t = case
     got = liouville.propagate(me, rho0, t)
@@ -525,9 +566,13 @@ def test_reduced_s1_mirror():
 
 
 def test_reduced_generator_bad_index():
-    c = make_coupling()
-    with pytest.raises(BadEigenindex):
-        liouville.reduced_s2_generator(c, 5)
+    # a negative index counts from the largest eigenvalue, as in Python
+    c = make_coupling(gamma=10.0, eta=0.5, phi=np.pi / 2, g=0.5)
+    assert liouville.reduced_s2_generator(c, -1) == \
+        liouville.reduced_s2_generator(c, 1)
+    for j in (5, 2, -3):
+        with pytest.raises(BadEigenindex):
+            liouville.reduced_s2_generator(c, j)
 
 
 def test_cascaded_generator_identity_a():
@@ -572,6 +617,28 @@ def test_segment_split_equals_merged():
     npt.assert_allclose(liouville.propagate_controlled(c, one, rho0),
                         liouville.propagate_controlled(c, two, rho0),
                         atol=1e-12)
+
+
+@pytest.mark.parametrize("d1, d2", [(3, 2), (4, 3)])
+def test_propagate_controlled_matches_oracle(rng, d1, d2):
+    # A is not diagonal: propagate splits each segment in A's eigenbasis
+    A = rand_hermitian(rng, d1)
+    c = make_coupling(gamma=8.0, eta=0.7, phi=0.4, g=0.3, A=A,
+                      B=rand_hermitian(rng, d2))
+    hams = (rand_hermitian(rng, d2), rand_hermitian(rng, d2))
+    pulse = liouville.ControlPulse(
+        segments=((0.3, (1.0, -0.5)), (0.5, (0.2, 0.8))), hamiltonians=hams)
+    rho0 = rand_density(rng, d1 * d2)
+    want = rho0
+    L = c.jump_operator()
+    for k, (dur, _) in enumerate(pulse.segments):
+        h = c.coherent_hamiltonian() + np.kron(np.eye(d1),
+                                               pulse.segment_hamiltonian(k))
+        me = liouville.MasterEquation(h, ((L, 1.0),), c.space)
+        assert liouville._leading_eigenbasis(me)[1] is not me.hamiltonian
+        want = dense_expm_oracle(kron_superop(h, h, [(L, L, 1.0)]), want, dur)
+    got = liouville.propagate_controlled(c, pulse, rho0)
+    assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_propagate_controlled_no_pulse():

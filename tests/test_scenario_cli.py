@@ -82,7 +82,9 @@ def scenario_docs(draw):
             st.sampled_from(["rho1", "rho2", "psi0"]),
             st.one_of(st.sampled_from(["0", "1", "+", "-"]),
                       st.lists(finite, min_size=2, max_size=2))),
-        "output": st.fixed_dictionaries({"path": st.text(max_size=20)}),
+        "output": st.fixed_dictionaries({"path": st.text(st.characters(
+            exclude_categories=("Cs",), exclude_characters="\0"),
+            max_size=20)}),
         "margin": st.floats(1e-3, 1e6)}
     for key, section in sections.items():
         if draw(st.booleans()):
@@ -522,8 +524,9 @@ CONTROL = (SCENARIO_DIR / "controllability_ising.yaml").read_text()
     ("  controls:\n    - sx⊗id + id⊗sx\n", "  controls: sx\n",
      "system.controls"),
     ("path: out-controllability", "path: 5", "output.path"),
+    ("path: out-controllability", r'path: "out\0"', "output.path"),
 ], ids=["lambda_a-string", "lambda_a-list", "lambda_a-nan", "lambda_a-bool",
-        "operators-list", "controls-string", "path-number"])
+        "operators-list", "controls-string", "path-number", "path-nul"])
 def test_cli_malformed_system_or_output_exits_2(tmp_path, monkeypatch, capsys,
                                                 old, new, field):
     # no --out: the run would write into output.path under tmp_path
@@ -532,6 +535,35 @@ def test_cli_malformed_system_or_output_exits_2(tmp_path, monkeypatch, capsys,
                                        encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert run_cli("controllability", "--scenario", "bad.yaml") == 2
+    assert field in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
+
+
+@pytest.mark.parametrize("name, old, new, field", [
+    ("controllability_ising", "lambda_a: 1.0", "lamda_a: 2.0",
+     "system.lamda_a"),
+    ("equivalence_two_qubit", "  eta: 1.0", "  etta: 1.0", "coupling.etta"),
+    ("simulate_dephasing", "  t: [0.1", "  times: [0.1", "sweep.times"),
+    ("simulate_dephasing", "  rho1:", "  rho_1:", "initial.rho_1"),
+    ("bounds_commuting", "  path: out-bounds", "  dir: out-bounds",
+     "output.dir"),
+    ("circuit_nonreciprocal", "  phi0: 1.0", "  phi_0: 1.0",
+     "circuit.phi_0"),
+    ("circuit_nonreciprocal", "    omega_z: 12.0", "    omega: 12.0",
+     "circuit.mode.omega"),
+    ("tones_three_qubit", "  phi_x1: 0.0", "  phi_x: 0.0", "tones.phi_x"),
+], ids=["system", "coupling", "sweep", "initial", "output", "circuit",
+        "circuit-mode", "tones"])
+def test_cli_unknown_key_exits_2(tmp_path, monkeypatch, capsys, name, old,
+                                 new, field):
+    # a misspelled field would otherwise fall back to its default
+    text = (SCENARIO_DIR / f"{name}.yaml").read_text(encoding="utf-8")
+    assert old in text
+    (tmp_path / "bad.yaml").write_text(text.replace(old, new),
+                                       encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    task = parse_scenario(text).task
+    assert run_cli(task, "--scenario", "bad.yaml") == 2
     assert field in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
 
