@@ -63,7 +63,7 @@ from conftest import (kron_superop, rand_density,  # noqa: E402
                       rand_hermitian, rotated_frame_loop, working_point)
 from perfbench import reference  # noqa: E402
 
-OUT = ROOT / "BENCH_11.json"
+OUT = ROOT / "BENCH_12.json"
 DENSE_REPEATS = 2000
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -141,14 +141,9 @@ def elimination_point(em, n_max):
 def pair_assembly(em, n_max):
     """The generators of every block pair of ``elimination_point``'s rotated
     model (all are occupied there): one batched ``_superop`` call per block
-    shape.  A tree without ``liouville._leading_eigenbasis`` rotates with
-    ``circuit._system_diagonal``."""
+    shape."""
     full = elimination_model(em, n_max)[2]
-    if hasattr(em.liouville, "_leading_eigenbasis"):
-        _, h, jumps = em.liouville._leading_eigenbasis(full)
-    else:
-        model = em.circuit._system_diagonal(full, 4)[1]
-        h, jumps = model.hamiltonian, [(op, r) for op, r in model.jumps if r]
+    _, h, jumps = em.liouville._leading_eigenbasis(full)
     pattern = h != 0
     for op, _ in jumps:
         pattern |= op != 0

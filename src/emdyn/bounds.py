@@ -227,8 +227,7 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
         raise ValidationError("rotated-frame route assumes g == 0")
     lam = _a_eigenspace(c, task.a_eigenindex)[0]
     d = c.d2
-    gen = dissipator_superop(np.sqrt(c.gamma) * lam * np.eye(d) - np.exp(
-        1j * c.phi) * c.eta / np.sqrt(c.gamma) * c.B)
+    gen = dissipator_superop(c.jump(lam * np.eye(d), c.B))
     _check_generator(gen, d)
     rho = np.outer(task.psi0, task.psi0.conj())
     v = np.eye(d, dtype=complex)

@@ -13,6 +13,11 @@ commutator of two unit elements with norm below ``1e-8`` is treated as zero,
 even when it is exact (``Z⊗I`` and ``I⊗Z + 1e-9·X⊗I`` close to 2 dimensions,
 not 4).  Element ``k`` is paired with every earlier element in discovery
 order (breadth-first), so bases are deterministic for a given generator order.
+A candidate that passes the rank rule with a residual below ``1e-3`` of its
+scale is held back, because normalizing it would amplify rounding by the
+inverse ratio.  When the pairs run out, the held-back candidates are
+re-projected, the one with the largest residual-to-scale ratio is accepted,
+and pairing resumes.
 """
 from __future__ import annotations
 
@@ -30,6 +35,7 @@ __all__ = [
 ]
 
 _INDEPENDENCE_RTOL = 1e-8
+_WEAK_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -70,31 +76,51 @@ def lie_closure(generators) -> LieBasis:
     rows = np.zeros((min(max_dim, max(64, 2 * len(gens))), 2 * d * d))
     mats = rows.view(complex).reshape(-1, d, d)
     n = 0
+    held = []   # (residual, scale) of weakly independent candidates
 
-    def try_add(candidate: np.ndarray, scale: float):
-        nonlocal n, rows, mats
-        r = candidate.reshape(-1).view(float)
+    def project(r: np.ndarray) -> float:
         for _ in range(2):   # re-orthogonalize: classical GS alone drifts
             r -= (rows[:n] @ r) @ rows[:n]
-        norm = np.linalg.norm(r)
+        return np.linalg.norm(r)
+
+    def accept(r: np.ndarray):
+        nonlocal n, rows, mats
+        if n == len(rows):
+            grow = np.zeros((min(n, max_dim - n), rows.shape[1]))
+            rows = np.concatenate([rows, grow])
+            mats = rows.view(complex).reshape(-1, d, d)
+        rows[n] = r / np.linalg.norm(r)
+        n += 1
+
+    def try_add(candidate: np.ndarray, scale: float):
+        r = candidate.reshape(-1).view(float)
+        norm = project(r)
         if n < max_dim and norm > _INDEPENDENCE_RTOL * scale:
-            if n == len(rows):
-                grow = np.zeros((min(n, max_dim - n), rows.shape[1]))
-                rows = np.concatenate([rows, grow])
-                mats = rows.view(complex).reshape(-1, d, d)
-            rows[n] = r / norm
-            n += 1
+            if norm < _WEAK_RTOL * scale:
+                held.append((r, scale))
+            else:
+                accept(r)
 
     for g in gens:
         try_add(_traceless(1j * g), np.linalg.norm(g))
     k = 1
-    while k < n < max_dim:
-        for i in range(k):
-            if n == max_dim:
-                break
-            comm = mats[i] @ mats[k] - mats[k] @ mats[i]
-            try_add(comm, max(np.linalg.norm(comm), 1.0))
-        k += 1
+    while n < max_dim:
+        if k < n:
+            for i in range(k):
+                if n == max_dim:
+                    break
+                comm = mats[i] @ mats[k] - mats[k] @ mats[i]
+                try_add(comm, max(np.linalg.norm(comm), 1.0))
+            k += 1
+            continue
+        # pairs exhausted: re-project the held-back candidates and accept the
+        # best-conditioned one that still passes the rank rule
+        held = [(r, s) for r, s in held
+                if project(r) > _INDEPENDENCE_RTOL * s]
+        if not held:
+            break
+        ratios = [np.linalg.norm(r) / s for r, s in held]
+        accept(held.pop(int(np.argmax(ratios)))[0])
     return LieBasis(d, tuple(m.copy() for m in mats[:n]), n)
 
 

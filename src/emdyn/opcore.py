@@ -16,20 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (BadFactorIndex, DimMismatch, NotDensityMatrix,
-                     NotHermitian, ValidationError)
+                     NotHermitian)
 
 __all__ = [
     "HilbertSpace", "SpectralDecomposition",
     "tensor", "herm_eig", "expm", "partial_trace",
     "vec", "unvec",
-    "dissipator_superop", "expm_superop_apply",
+    "dissipator_superop",
     "hs_inner", "trace_distance", "frob_norm",
     "is_hermitian", "check_hermitian", "check_density",
     "POSITIVITY_TOL", "DEGENERACY_RTOL",
@@ -245,122 +245,6 @@ def vec(rho: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
     return np.asarray(v, dtype=complex).reshape(dim, dim)
-
-
-@lru_cache(maxsize=64)
-def _hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Sparse form of the unitary ``T`` whose columns are the row-vectorized
-    orthonormal Hermitian basis of d×d operators: ``|i><i|``, then
-    ``(|i><j| + |j><i|)/√2``, then ``i(|i><j| − |j><i|)/√2`` (``i < j``).
-
-    Returns ``(i1, i2, w1, w2, j1, j2, u1, u2)``: row ``k`` of ``Tᴴ`` is
-    ``w1[k] e_i1[k] + w2[k] e_i2[k]`` and row ``n`` of ``T`` is
-    ``u1[n] e_j1[n] + u2[n] e_j2[n]``, so either product is two gathers.
-    """
-    i, j = np.triu_indices(d, 1)
-    ii, ij, ji = np.arange(d) * (d + 1), i * d + j, j * d + i
-    half, s = np.full(d, 0.5), np.full(len(i), np.sqrt(0.5))
-    i1, i2 = np.concatenate([ii, ij, ij]), np.concatenate([ii, ji, ji])
-    w1 = np.concatenate([half, s, -1j * s])
-    w2 = np.concatenate([half, s, 1j * s])
-    # T[n, k] = conj(Tᴴ[k, n]): every n occurs twice among (i1, i2)
-    order = np.argsort(np.concatenate([i1, i2]), kind="stable")
-    k = np.tile(np.arange(d * d), 2)[order].reshape(-1, 2)
-    u = np.concatenate([w1, w2]).conj()[order].reshape(-1, 2)
-    out = (i1, i2, w1, w2, k[:, 0], k[:, 1], u[:, 0], u[:, 1])
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def _components(g: np.ndarray) -> np.ndarray:
-    """Connected-component labels of the exact nonzero pattern of ``g``.
-
-    Coordinates ``k`` and ``l`` are linked when ``g[k, l]`` or ``g[l, k]`` is
-    nonzero; each coordinate is labelled with the smallest coordinate of its
-    component (min-label propagation with pointer jumping).
-    """
-    adj = g != 0
-    adj |= adj.T
-    n = g.shape[0]
-    lab = np.arange(n)
-    while True:
-        new = np.minimum(np.where(adj, lab, n).min(axis=1), lab)
-        new = new[new]
-        if (new == lab).all():
-            return lab
-        lab = new
-
-
-def _real_generator(gen: np.ndarray, d: int) -> np.ndarray:
-    """``Tᴴ gen T`` as a real matrix, ``T`` the basis of :func:`_hermitian_basis`.
-
-    Formed by row and column gathers (``np.take``; no product with ``T``),
-    scaled and summed in place, so at most two d⁴-sized temporaries live
-    beside ``gen``.  A generator whose image has an imaginary entry beyond
-    1e-10 times ``max(1, largest entry)`` does not preserve Hermiticity and
-    raises :class:`ValidationError` (the floor of 1 keeps a generator that
-    cancels to rounding noise, such as a d = 1 dissipator, from being
-    rejected).
-    """
-    i1, i2, w1, w2 = _hermitian_basis(d)[:4]
-    cols = np.take(gen, i1, axis=1)
-    cols *= w1.conj()
-    part = np.take(gen, i2, axis=1)
-    part *= w2.conj()
-    cols += part
-    g = np.take(cols, i1, axis=0)
-    g *= w1[:, None]
-    np.take(cols, i2, axis=0, out=part, mode="clip")   # "clip": unbuffered
-    part *= w2[:, None]
-    g += part
-    del cols, part      # before the check's temporaries
-    if np.abs(g.imag).max() > 1e-10 * max(1.0, np.abs(g).max()):
-        raise ValidationError("generator does not preserve Hermiticity")
-    return g.real
-
-
-def expm_superop_apply(gen: np.ndarray, rho: np.ndarray,
-                       t: float) -> np.ndarray:
-    """``unvec(exp(t gen) vec(rho))`` for a Hermiticity-preserving ``gen``.
-
-    ``gen`` is mapped to the real matrix ``Tᴴ gen T`` of
-    :func:`_real_generator`, so a real ``expm`` does the work.  The map is an
-    exact similarity transform, so ``rho`` need not be Hermitian.
-
-    The real generator is split into the connected components of its exact
-    nonzero pattern (:func:`_components`); ``exp(t G)`` is block diagonal in
-    them, so only the blocks that ``rho``'s coordinates touch are
-    exponentiated and every other coordinate of the result is exactly zero.
-    A generator with no exact zeros is one block and takes the same path.
-
-    Each block goes through :func:`expm`'s halved real path: at
-    ``‖t G‖₁ ≈ 1e5`` SciPy's real ``expm`` errs by up to 2.9e-10, the
-    halved one by 1e-11, at 0.9–1.3× the cost (a complex ``expm`` per
-    block would cost 1.5–3.9× at n = 16–256).  The trace row of a block
-    (its diagonal coordinates) goes along as ``conserved``, which pins the
-    trace of a trace-preserving block: a d = 5 Lindblad generator at
-    ``‖t G‖₂ ≈ 1.3e6`` then errs by 5e-12, not 8.6e-11.
-    """
-    gen = np.asarray(gen, dtype=complex)
-    d = np.shape(rho)[0]
-    if gen.shape != (d * d, d * d):
-        raise DimMismatch(
-            f"generator shape {gen.shape} incompatible with state dim {d}")
-    i1, i2, w1, w2, j1, j2, u1, u2 = _hermitian_basis(d)
-    g = _real_generator(gen, d)
-    v = vec(rho)
-    x = w1 * v[i1] + w2 * v[i2]
-    y = np.zeros_like(x)
-    lab = _components(g)
-    one = not lab.any()             # one block: no copies
-    diag = np.arange(d * d) < d     # coordinates of |i><i|: the trace
-    for c in [0] if one else np.unique(lab[x != 0]):
-        b = slice(None) if one else lab == c
-        tr = diag[b].astype(float)
-        e = expm(g[b][:, b], t, conserved=tr if tr.any() else None)
-        y[b] = e @ x[b].real + 1j * (e @ x[b].imag)
-    return unvec(u1 * y[j1] + u2 * y[j2], d)
 
 
 def _support(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -204,28 +204,49 @@ def mgs_lie_closure(gens, rtol=1e-8):
     The same breadth-first pair order, two re-orthogonalization passes and
     rank rule as ``control.lie_closure``: a residual counts only above
     ``rtol`` times its inputs' scale (a generator's norm before its trace is
-    removed, ``max(‖[a, b]‖, 1)`` for a commutator of unit elements).
+    removed, ``max(‖[a, b]‖, 1)`` for a commutator of unit elements).  A
+    residual below 1e-3 times its scale is held back until the pairs run
+    out; then the held-back residuals are re-projected, the one with the
+    largest residual-to-scale ratio is accepted and pairing resumes.
     Returns the tuple of basis elements.
     """
     d = len(gens[0])
     basis = []
     pairs = deque()
+    held = []
 
-    def try_add(candidate, scale):
-        residual = candidate
+    def project(x):
         for _ in range(2):
             for e in basis:
-                residual = residual - hs_inner(e, residual).real * e
+                x = x - hs_inner(e, x).real * e
+        return x
+
+    def accept(residual):
+        basis.append(residual / frob_norm(residual))
+        pairs.extend((i, len(basis) - 1) for i in range(len(basis) - 1))
+
+    def try_add(candidate, scale):
+        residual = project(candidate)
         if len(basis) < d * d - 1 and frob_norm(residual) > rtol * scale:
-            basis.append(residual / frob_norm(residual))
-            pairs.extend((i, len(basis) - 1) for i in range(len(basis) - 1))
+            if frob_norm(residual) < 1e-3 * scale:
+                held.append((residual, scale))
+            else:
+                accept(residual)
 
     for g in gens:
         try_add(_skew_traceless(g), frob_norm(g))
-    while pairs and len(basis) < d * d - 1:
-        i, j = pairs.popleft()
-        comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-        try_add(comm, max(frob_norm(comm), 1.0))
+    while len(basis) < d * d - 1:
+        if pairs:
+            i, j = pairs.popleft()
+            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
+            try_add(comm, max(frob_norm(comm), 1.0))
+            continue
+        held = [(r, s) for r, s in ((project(r), s) for r, s in held)
+                if frob_norm(r) > rtol * s]
+        if not held:
+            break
+        ratios = [frob_norm(r) / s for r, s in held]
+        accept(held.pop(ratios.index(max(ratios)))[0])
     return tuple(basis)
 
 

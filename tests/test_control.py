@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emdyn import control, liouville
@@ -102,6 +102,7 @@ def test_closure_dimension_matches_svd_oracle(gens):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1))
+@example(d=6, seed=781)
 def test_closure_matches_loop_oracle(d, seed):
     rng = np.random.default_rng(seed)
     gens = [rand_hermitian(rng, d), rand_hermitian(rng, d)]

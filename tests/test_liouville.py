@@ -55,6 +55,12 @@ def test_jump_operator_form():
     want = 2.0 * (np.kron(SZ, I2)
                   - (1.0 / 4.0) * np.exp(1j * 0.3) * np.kron(I2, SX))
     npt.assert_allclose(L, want, atol=1e-14)
+    # on broadcast eigenvalue arrays the same formula gives L's eigenvalues
+    pm = np.array([1.0, -1.0])
+    npt.assert_allclose(
+        np.sort_complex(np.linalg.eigvals(L)),
+        np.sort_complex(c.jump(pm[:, None], pm[None, :]).reshape(-1)),
+        atol=1e-12)
 
 
 def test_expanded_generator_matches_direct(rng):
@@ -193,7 +199,7 @@ def master_equation_cases(draw):
 def test_hermitian_basis_route_matches_oracle(case):
     gen, rho0, t = case
     want = dense_expm_oracle(gen, rho0, t)
-    assert np.max(np.abs(opcore.expm_superop_apply(gen, rho0, t) - want)
+    assert np.max(np.abs(liouville._evolve_real_basis(gen, rho0, t) - want)
                   ) <= 1e-10
     if opcore.is_hermitian(rho0):
         assert np.max(np.abs(liouville.propagate(gen, rho0, t) - want)
@@ -208,14 +214,15 @@ def test_route_keeps_trace_at_large_norm_t(rng):
                        1e3) for _ in range(2))
         gen = liouville.MasterEquation(rand_hermitian(rng, d), jumps,
                                        opcore.HilbertSpace((d,))).generator()
-        out = opcore.expm_superop_apply(gen, rand_density(rng, d), 50.0)
+        out = liouville._evolve_real_basis(gen, rand_density(rng, d), 50.0)
         assert abs(np.trace(out) - 1.0) <= 1e-13
 
 
 def n_real_blocks(gen):
     """Number of blocks the route splits ``gen`` into (in the real basis)."""
     d = int(round(np.sqrt(gen.shape[0])))
-    return len(np.unique(opcore._components(opcore._real_generator(gen, d))))
+    return len(np.unique(liouville._components(
+        liouville._real_generator(gen, d))))
 
 
 @st.composite
@@ -268,7 +275,7 @@ def block_structured_cases(draw):
         # random level form an invariant sector
         links = sum(np.abs(op.reshape(ds, dm, ds, dm)).sum(axis=(1, 3))
                     for op in (me.hamiltonian, *(j for j, _ in me.jumps)))
-        lab = opcore._components(links)
+        lab = liouville._components(links)
         sector = np.flatnonzero(lab == lab[rng.integers(ds)])
         rho_s = np.zeros((ds, ds), dtype=complex)
         rho_s[np.ix_(sector, sector)] = rand_density(rng, len(sector))
@@ -282,7 +289,7 @@ def test_block_route_matches_oracle(case):
     gen, rho0, t = case
     assert n_real_blocks(gen) > 1
     want = dense_expm_oracle(gen, rho0, t)
-    assert np.max(np.abs(opcore.expm_superop_apply(gen, rho0, t) - want)
+    assert np.max(np.abs(liouville._evolve_real_basis(gen, rho0, t) - want)
                   ) <= 1e-10
     assert np.max(np.abs(liouville.propagate(gen, rho0, t) - want)) <= 1e-10
 
@@ -519,6 +526,11 @@ def test_non_hermiticity_preserving_generator_rejected(rng):
     gen = left_superop(rand_hermitian(rng, 3))
     with pytest.raises(ValidationError, match="preserve Hermiticity"):
         liouville.propagate(gen, np.eye(3) / 3, 1.0)
+    # d = 16 with no exact zeros: one component, checked all the same
+    gen = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    assert np.all(gen != 0)
+    with pytest.raises(ValidationError, match="preserve Hermiticity"):
+        liouville.propagate(gen, np.eye(16) / 16, 1.0)
 
 
 def test_closed_form_guards():
