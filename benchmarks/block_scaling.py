@@ -63,7 +63,7 @@ from conftest import (kron_superop, rand_density,  # noqa: E402
                       rand_hermitian, rotated_frame_loop, working_point)
 from perfbench import reference  # noqa: E402
 
-OUT = ROOT / "BENCH_12.json"
+OUT = ROOT / "BENCH_13.json"
 DENSE_REPEATS = 2000
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -124,17 +124,6 @@ class ToneSet:
     kind: str
     notes: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "x_tones": [list(t) for t in self.x_tones],
-            "y_tones": [list(t) for t in self.y_tones],
-            "derived": list(self.derived),
-            "phase_sum": list(self.phase_sum),
-            "phase_diff": list(self.phase_diff),
-            "notes": list(self.notes),
-        }
-
 
 @dataclass(frozen=True)
 class SystemBathParams:

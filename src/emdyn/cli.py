@@ -191,7 +191,7 @@ def _run_tones(scenario: Scenario, margin):
     for m in range(3):
         wy, py = ts.y_tones[m]
         rows.append([float(m + 1), wy, py, ts.phase_sum[m], ts.phase_diff[m]])
-    report = ts.as_dict()
+    report = dataclasses.asdict(ts)
     report["task"] = "tones"
     return (["channel", "y_frequency", "y_phase", "phase_sum", "phase_diff"],
             rows, report)

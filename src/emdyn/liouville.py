@@ -230,7 +230,9 @@ def _evolve_coupling(c: DissipativeCoupling, rho0: np.ndarray,
     ``A`` and ``B``, with eigenvalues ``l_k`` and ``h_k``.  There each entry
     evolves on its own: ``rho_kl(t) = exp(t (l_k l_l* − ½|l_k|² − ½|l_l|²
     − i (h_k − h_l))) rho_kl(0)``.  The real part of the rate is written as
-    ``−½|l_k − l_l|²`` so that it does not cancel at large gamma.
+    ``−½|l_k − l_l|²`` so that it does not cancel at large gamma, and
+    ``Im(l_k l_l*)`` from real products, so that it is exactly antisymmetric
+    and the diagonal, whose rate is exactly 0, does not turn at large ``t``.
     """
     a, ua = np.linalg.eigh(c.A)
     b, ub = np.linalg.eigh(c.B)
@@ -240,7 +242,7 @@ def _evolve_coupling(c: DissipativeCoupling, rho0: np.ndarray,
         l = c.jump(a[:, None], b[None, :]).reshape(-1)
     h = c.g * np.outer(a, b).reshape(-1)
     rate = (-0.5 * np.abs(l[:, None] - l[None, :]) ** 2
-            + 1j * (np.imag(l[:, None] * l.conj()[None, :])
+            + 1j * (l.imag[:, None] * l.real - l.real[:, None] * l.imag
                     - (h[:, None] - h[None, :])))
     return u @ (np.exp(t * rate) * (u.conj().T @ rho0 @ u)) @ u.conj().T
 
@@ -335,10 +337,9 @@ def _evolve_real_basis(gen: np.ndarray, rho: np.ndarray,
     x = w1 * v[i1] + w2 * v[i2]
     y = np.zeros_like(x)
     lab = _components(g)
-    one = not lab.any()             # one block: no copies
     diag = np.arange(d * d) < d     # coordinates of |i><i|: the trace
-    for c in [0] if one else np.unique(lab[x != 0]):
-        b = slice(None) if one else lab == c
+    for c in np.unique(lab[x != 0]):
+        b = lab == c
         tr = diag[b].astype(float)
         e = opcore.expm(g[b][:, b], t, conserved=tr if tr.any() else None)
         y[b] = e @ x[b].real + 1j * (e @ x[b].imag)
@@ -447,35 +448,24 @@ def _nonzero(gen: np.ndarray) -> np.ndarray:
     return np.flatnonzero(part[0::2] | part[1::2])
 
 
-#: Smallest d whose dense generator is split; below it the real basis finds
-#: the same blocks faster (split 1.5–2× slower at d = 4–10, 1.8× faster at 24).
-_SPLIT_MIN_DIM = 16
-
-
 def _evolve_dense(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """``g4 = gen.reshape(d, d, d, d)`` moves ``rho[k, l]`` into ``rho[i, j]``
     only where ``g4[i, j, k, l] != 0``.  One scan of those entries serves
-    :func:`_check_generator` and, from ``d = _SPLIT_MIN_DIM``, the links
-    ``i–k`` and ``j–l``, whose components ``I_a`` are exact invariant blocks,
-    generated by ``g4[I_a, I_b, I_a, I_b]``.  Below that ``d``, or with one
-    component, ``gen`` goes whole to :func:`_evolve_real_basis`."""
+    :func:`_check_generator` and the links ``i–k`` and ``j–l``, whose
+    components ``I_a`` are exact invariant blocks, generated by
+    ``g4[I_a, I_b, I_a, I_b]``."""
     d = rho0.shape[0]
     g4 = gen.reshape(d, d, d, d)
     nz = i, j, k, l = np.unravel_index(_nonzero(gen), g4.shape)
     _check_generator(gen, d, nz)
-    comps = []
-    if d >= _SPLIT_MIN_DIM:
-        links = np.zeros((d, d), dtype=bool)
-        links[i, k] = links[j, l] = True
-        comps = _blocks(links)
-    if len(comps) < 2:
-        return _evolve_real_basis(gen, rho0, t)
+    links = np.zeros((d, d), dtype=bool)
+    links[i, k] = links[j, l] = True
 
     def block_gens(ia, ib):
         return [g4[np.ix_(x, y, x, y)].reshape(len(x) * len(y), -1)
                 for x, y in zip(ia, ib)]
 
-    return _evolve_blocks(comps, block_gens, rho0, t)
+    return _evolve_blocks(_blocks(links), block_gens, rho0, t)
 
 
 def _check_generator(gen: np.ndarray, d: int, nz=None) -> None:
@@ -498,8 +488,11 @@ def _check_generator(gen: np.ndarray, d: int, nz=None) -> None:
 def _checked_states(before: np.ndarray, after: np.ndarray) -> np.ndarray:
     """``after``, made exactly Hermitian, if it passes the checks of an
     evolution from ``before`` (states or stacks ``(..., d, d)`` of them):
-    trace and Hermiticity drift beyond 1e-8 raise :class:`NumericalError`,
-    an eigenvalue below ``-POSITIVITY_TOL`` :class:`NonPhysicalResult`."""
+    a non-finite entry, or trace and Hermiticity drift beyond 1e-8, raise
+    :class:`NumericalError`, an eigenvalue below ``-POSITIVITY_TOL``
+    :class:`NonPhysicalResult`."""
+    if not np.isfinite(after).all():
+        raise NumericalError("propagated state has non-finite entries")
     tr0 = before.diagonal(0, -2, -1).sum(-1).real
     tr = after.diagonal(0, -2, -1).sum(-1)
     bad = np.abs(tr - tr0) > 1e-8 * np.maximum(1.0, np.abs(tr0))
@@ -534,18 +527,17 @@ def propagate(model: DissipativeCoupling | MasterEquation | np.ndarray,
     operator blocks, all occupied pairs of one block shape in one batched
     assembly (the d²×d² generator is never formed).  ``gen``'s blocks are
     sliced out of it by its nonzero pattern, read in one scan that also
-    serves the Hermiticity check; below ``d = _SPLIT_MIN_DIM``, or unsplit,
-    ``gen`` goes whole to the real-basis :func:`_evolve_real_basis`.  Each
-    model is checked for Hermiticity preservation once, before any block
-    is evolved: a non-Hermitian Hamiltonian, or a ``gen`` that fails
-    :func:`_check_generator`, raises :class:`ValidationError` at every
-    ``t``.  The complex ``expm`` of the generator is the test oracle for
-    every route.
+    serves the Hermiticity check.  Each model is checked for Hermiticity
+    preservation once, before any block is evolved: a non-Hermitian
+    Hamiltonian, or a ``gen`` that fails :func:`_check_generator`, raises
+    :class:`ValidationError` at every ``t``.  The complex ``expm`` of the
+    generator is the test oracle for every route.
 
     ``rho0`` must be Hermitian (:class:`NotHermitian` otherwise) with no
     eigenvalue below ``-POSITIVITY_TOL`` (:class:`NotDensityMatrix`
     otherwise), at every ``t``; its trace is kept, not required to be 1.
-    The result passes the checks of :func:`_checked_states`.
+    The result passes the checks of :func:`_checked_states`; an evolution
+    that overflows raises :class:`NumericalError` there, without a warning.
     """
     if t < 0:
         raise ValidationError(f"propagation time must be >= 0, got {t}")
@@ -576,7 +568,9 @@ def propagate(model: DissipativeCoupling | MasterEquation | np.ndarray,
             f"initial state has eigenvalue {w0:.3e}") from None
     if t == 0:
         return rho0.copy()
-    return _checked_states(rho0, evolve(model, rho0, t))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        rho = evolve(model, rho0, t)
+    return _checked_states(rho0, rho)
 
 
 def propagate_controlled(c: DissipativeCoupling, pulse: ControlPulse | None,

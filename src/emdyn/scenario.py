@@ -15,7 +15,7 @@ import yaml
 from . import circuit as _circuit
 from .errors import NotHermitian, ParseError, ValidationError
 from .liouville import DissipativeCoupling
-from .opcore import tensor
+from .opcore import check_density, tensor
 
 __all__ = ["Scenario", "VALID_TASKS", "parse_scenario", "load_scenario",
            "emit_scenario", "parse_operator", "parse_state", "check_margin",
@@ -114,8 +114,15 @@ class Scenario:
             collisions=v["collisions"])
 
     def initial_state(self, key: str, dim: int) -> np.ndarray:
+        """The state ``initial.key`` (default ``"0"``); ``psi0``, the start
+        of a gate, must be pure: ``tr rho² >= 1 − 1e-9``."""
         spec = (self.initial or {}).get(key, "0")
-        return parse_state(spec, dim, f"initial.{key}")
+        rho = parse_state(spec, dim, f"initial.{key}")
+        purity = np.vdot(rho, rho).real
+        if key == "psi0" and purity < 1 - 1e-9:
+            raise ValidationError(f"initial.psi0 must be a pure state, got "
+                                  f"purity {purity:.6g}")
+        return rho
 
     def emit(self) -> str:
         return emit_scenario(self)
@@ -235,7 +242,7 @@ def parse_state(spec, dim: int, where: str) -> np.ndarray:
 
     Accepts a basis index string (``"0"``, ``"1"``, ...), ``"+"``/``"-"``
     for the qubit superpositions, a flat list (ket), or a nested list
-    (density matrix).
+    (density matrix, checked by :func:`opcore.check_density`).
     """
     if isinstance(spec, str):
         if spec in ("+", "-") and dim == 2:
@@ -262,7 +269,7 @@ def parse_state(spec, dim: int, where: str) -> np.ndarray:
             raise ValidationError(f"state {where} has dimension "
                                   f"{arr.shape[0]}, expected {dim}")
         if dense:
-            return arr
+            return check_density(arr, where)
         # scaled by the largest real or imaginary part (as reals: a complex
         # division overflows on subnormals), so the norm cannot overflow
         parts = arr.view(float)

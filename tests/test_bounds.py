@@ -133,6 +133,14 @@ def test_exact_error_dual_route(gamma, t, want):
     assert abs(exact - empirical) < 1e-10
 
 
+@pytest.mark.parametrize("t", [1e10, 1e14])
+def test_commuting_error_saturates_at_large_t(t):
+    # the closed form's diagonal rate is exactly 0, so the populations of the
+    # fully dephased state neither turn nor drift in trace
+    task = bounds.make_gate_task(make_coupling(gamma=20.0), PLUS, t)
+    assert bounds.empirical_error(task) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_eigenstate_targets_are_error_free():
     # B eigenstate: the emergent rotation only adds a phase, every error
     # measure collapses

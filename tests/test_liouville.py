@@ -403,20 +403,15 @@ def test_master_equation_route_matches_oracle(case):
 @settings(max_examples=150, deadline=None)
 @given(component_models())
 def test_dense_block_route_matches_oracle(case):
-    # the dense generator from the Kronecker oracle, not from _superop; the
-    # split forced at every size (it starts at d = 16 on its own)
+    # the dense generator from the Kronecker oracle, not from _superop
     me, _, rho0, t = case
     h = me.hamiltonian
     gen = kron_superop(h, h, [(L, L, r) for L, r in me.jumps])
-    want = dense_expm_oracle(gen, rho0, t)
-    for split_min_dim in (1, liouville._SPLIT_MIN_DIM):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(liouville, "_SPLIT_MIN_DIM", split_min_dim)
-            got = liouville.propagate(gen, rho0, t)
-        assert np.max(np.abs(got - want)) <= 1e-10
+    got = liouville.propagate(gen, rho0, t)
+    assert np.max(np.abs(got - dense_expm_oracle(gen, rho0, t))) <= 1e-10
 
 
-def test_dense_route_checks_unoccupied_blocks(monkeypatch):
+def test_dense_route_checks_unoccupied_blocks():
     # two index blocks {0, 2} and {1, 3}; the state occupies only the
     # first, and the generator fails Hermiticity only inside the second
     perm = np.array([0, 2, 1, 3])
@@ -430,10 +425,8 @@ def test_dense_route_checks_unoccupied_blocks(monkeypatch):
                         atol=1e-12)
     g4 = gen.reshape(4, 4, 4, 4).copy()
     g4[3, 1, 3, 1] += 1j      # X[3, 1] rotates, X[1, 3] does not
-    for split_min_dim in (1, liouville._SPLIT_MIN_DIM):
-        monkeypatch.setattr(liouville, "_SPLIT_MIN_DIM", split_min_dim)
-        with pytest.raises(ValidationError, match="preserve Hermiticity"):
-            liouville.propagate(g4.reshape(16, 16), rho0, 1.0)
+    with pytest.raises(ValidationError, match="preserve Hermiticity"):
+        liouville.propagate(g4.reshape(16, 16), rho0, 1.0)
 
 
 def _generator_models():

@@ -479,6 +479,10 @@ def test_cli_missing_file_exits_2(tmp_path):
 
 CIRCUIT = (SCENARIO_DIR / "circuit_nonreciprocal.yaml").read_text()
 TONES = (SCENARIO_DIR / "tones_three_qubit.yaml").read_text()
+SIMULATE = (SCENARIO_DIR / "simulate_dephasing.yaml").read_text()
+BOUNDS = (SCENARIO_DIR / "bounds_commuting.yaml").read_text()
+EQUIVALENCE = (SCENARIO_DIR / "equivalence_two_qubit.yaml").read_text()
+SIM_T = "t: [0.1, 0.5, 1.0, 2.0]"
 
 
 @pytest.mark.parametrize("task, text, field", [
@@ -498,16 +502,61 @@ TONES = (SCENARIO_DIR / "tones_three_qubit.yaml").read_text()
      "tones.Omega"),
     ("tones", TONES.replace("omega_z: 12.0", "omega_z: fast"),
      "tones.omega_z"),
+    ("circuit-validate", CIRCUIT.replace(
+        "  mode:\n    n_max: 3\n    omega_z: 12.0\n    gamma_z: 50.0\n",
+        "  mode: 3\n"), "circuit.mode"),
+    ("tones", TONES.replace("plan: dissipative", "plan: other"),
+     "tones.plan"),
+    ("equivalence", EQUIVALENCE.replace("eta: 1.0", "eta: -1.0"),
+     "coupling.eta"),
+    ("simulate", SIMULATE.replace(SIM_T, "t: []"), "sweep.t"),
+    ("simulate", SIMULATE.replace(SIM_T, "t: [-1.0]"), "sweep.t"),
+    ("equivalence", EQUIVALENCE.replace(
+        "gamma: [10.0, 100.0, 1000.0, 10000.0]", "gamma: [0.0]"),
+     "sweep.gamma"),
+    ("simulate", SIMULATE.replace("seed: 0", "seed: 1.5"), "seed"),
+    ("simulate", SIMULATE.replace("name: dephasing-simulation", "name: 5"),
+     "name"),
+    ("simulate", "- task: simulate\n", "mapping at top level"),
+    ("simulate", SIMULATE.replace('rho1: "+"', "rho1: 5"), "initial.rho1"),
+    ("simulate", SIMULATE.replace('rho1: "+"', "rho1: [1, 0, 0]"),
+     "initial.rho1"),
+    ("simulate", SIMULATE.replace('rho1: "+"',
+                                  "rho1: [[0.7, 0.0], [0.0, 0.7]]"),
+     "initial.rho1"),
+    ("bounds", BOUNDS.replace('psi0: "+"', "psi0: [[0.6, 0.0], [0.0, 0.4]]"),
+     "initial.psi0"),
+    ("bounds", BOUNDS.replace('psi0: "+"', "psi0: [[0.5, 0.0], [0.0, 0.5]]"),
+     "initial.psi0"),
+    ("bounds", BOUNDS.replace('psi0: "+"', "psi0: [[0.7, 0.0], [0.0, 0.7]]"),
+     "initial.psi0"),
 ], ids=["missing-E_J", "Omega-fast", "omega_z-fast", "n_max-list",
         "n_max-fractional", "lambda_1z-nan", "tones-Omega-fast",
-        "tones-omega_z-fast"])
+        "tones-omega_z-fast", "mode-number", "tones-plan-other",
+        "eta-negative", "t-empty", "t-negative", "gamma-zero", "seed-float",
+        "name-number", "top-level-list", "rho1-number", "rho1-length",
+        "rho1-trace", "psi0-mixed", "psi0-maximally-mixed", "psi0-trace"])
 def test_cli_malformed_section_exits_2(tmp_path, capsys, task, text, field):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
-    assert text != (CIRCUIT if task == "circuit-validate" else TONES)
+    assert text not in (CIRCUIT, TONES, SIMULATE, BOUNDS, EQUIVALENCE)
     rc = run_cli(task, "--scenario", str(bad), "--out", str(tmp_path / "out"))
     assert rc == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_overflowing_evolution_exits_3(tmp_path, capsys):
+    # the closed form overflows to NaN at this t; it is reported before any
+    # eigen-solve, with no RuntimeWarning
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(SIMULATE.replace(SIM_T, "t: [1.0e+308]"))
+    rc = run_cli("simulate", "--scenario", str(bad),
+                 "--out", str(tmp_path / "out"))
+    assert rc == 3
+    assert ("numerical failure: propagated state has non-finite entries"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -525,8 +574,12 @@ CONTROL = (SCENARIO_DIR / "controllability_ising.yaml").read_text()
      "system.controls"),
     ("path: out-controllability", "path: 5", "output.path"),
     ("path: out-controllability", r'path: "out\0"', "output.path"),
+    ("A: sz\n", "A: 5\n", "system.operators.A"),
+    ("A: sz\n", "A: [[1, 0]]\n", "system.operators.A"),
+    ("A: sz\n", 'A: [["abc", 0], [0, 1]]\n', "system.operators.A"),
 ], ids=["lambda_a-string", "lambda_a-list", "lambda_a-nan", "lambda_a-bool",
-        "operators-list", "controls-string", "path-number", "path-nul"])
+        "operators-list", "controls-string", "path-number", "path-nul",
+        "A-number", "A-not-square", "A-bad-entry"])
 def test_cli_malformed_system_or_output_exits_2(tmp_path, monkeypatch, capsys,
                                                 old, new, field):
     # no --out: the run would write into output.path under tmp_path
