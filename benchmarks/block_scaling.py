@@ -4,6 +4,8 @@ named by ``OUT``.
     python benchmarks/block_scaling.py scaling [--parent DIR]
     python benchmarks/block_scaling.py pairs --parent DIR --workload NAME \
         --seed N --pairs K
+    python benchmarks/block_scaling.py trace --parent DIR [--seed N]
+    python benchmarks/block_scaling.py e2e --parent DIR
 
 ``scaling`` records ``oracle_ms`` and ``library_ms`` with the largest
 absolute difference of their results.  The oracle is the dense complex
@@ -30,10 +32,16 @@ D = 4 and the rotated frame's dense ``D[M]`` at d2 = 2, 4, 8.  With
 timed on the parent checkout's ``emdyn`` (imported as ``emdyn_parent``),
 alternating call by call, as ``parent_ms``.  ``pairs`` runs
 ``perfbench/run.py`` K times on the parent checkout ``DIR`` and on this
-checkout, alternating which runs first, and records every run and each
-side's median and quartiles.  Each subcommand updates its own key of the
-JSON file and the machine info.  BLAS is pinned to one thread in this
-process and in the runs it starts.
+checkout, alternating which runs first, and records every run, with the
+median of each item class it prints, and each side's median and quartiles.
+``trace`` records the per-layer metrics of ``TRACE_RUNS`` traced perfbench
+cycles of each workload on both checkouts, alternating, with each side's
+median and quartiles.  ``e2e`` records the two end-to-end
+numbers: the CLI's wall time per sample scenario (a fresh interpreter per
+run) and the Tier-1 suite's wall time, each the median of ``E2E_REPEATS``
+runs on both checkouts, alternating which runs first.  Each subcommand
+updates its own key of the JSON file and the machine info.  BLAS is pinned
+to one thread in this process and in the runs it starts.
 """
 from __future__ import annotations
 
@@ -42,9 +50,11 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -63,8 +73,13 @@ from conftest import (kron_superop, rand_density,  # noqa: E402
                       rand_hermitian, rotated_frame_loop, working_point)
 from perfbench import reference  # noqa: E402
 
-OUT = ROOT / "BENCH_13.json"
+OUT = ROOT / "BENCH_14.json"
 DENSE_REPEATS = 2000
+E2E_REPEATS = 5
+TRACE_RUNS = 5
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+WORKLOADS = ("gap_sweep", "mode_elimination")
+CLASS_LINE = re.compile(r"# class (\S+)\s+n=\s*\d+ median\s+(\S+) ms")
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -326,32 +341,97 @@ def quartiles(xs):
     return {"median": statistics.median(xs), "q1": q[0], "q3": q[2]}
 
 
-def run_perfbench(checkout, workload, seed):
+def run_perfbench(checkout, workload, seed, trace=0):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", "28", "--trace", "0"],
+         "--seed", str(seed), "--seconds", "28", "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "class_ms_median": {m[1]: float(m[2]) for m in
+                                map(CLASS_LINE.match, lines) if m}}
+
+
+def sides_of(args) -> dict:
+    return {"parent": Path(args.parent).resolve(), "change": ROOT}
+
+
+def alternating_runs(args, n, workload, trace=0) -> dict:
+    """``n`` perfbench runs of each checkout, alternating which runs first."""
+    sides = sides_of(args)
+    runs = {"parent": [], "change": []}
+    for k in range(n):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_perfbench(sides[side], workload, args.seed,
+                                            trace))
+        print(json.dumps({side: runs[side][-1]["metrics"] for side in order}),
+              flush=True)
+    return runs
+
+
+def summarize(runs, key="metrics") -> dict:
+    return {side: {m: quartiles([r[key][m] for r in rs]) for m in rs[0][key]}
+            for side, rs in runs.items()}
 
 
 def pairs(args) -> dict:
-    sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
-    runs = {"parent": [], "change": []}
-    for k in range(args.pairs):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_perfbench(sides[side], args.workload,
-                                            args.seed))
-        print(json.dumps({side: runs[side][-1]["metrics"] for side in order}),
-              flush=True)
-    names = runs["parent"][0]["metrics"]
-    summary = {side: {m: quartiles([r["metrics"][m] for r in rs])
-                      for m in names} for side, rs in runs.items()}
+    runs = alternating_runs(args, args.pairs, args.workload)
+    summary = summarize(runs)
+    for side, classes in summarize(runs, "class_ms_median").items():
+        summary[side]["class_ms_median"] = classes
     key = f"perfbench.{args.workload}.seed{args.seed}"
     return {key: {"pairs": args.pairs, "summary": summary, "runs": runs}}
+
+
+def trace(args) -> dict:
+    out = {}
+    for workload in WORKLOADS:
+        runs = alternating_runs(args, TRACE_RUNS, workload, trace=1)
+        out[workload] = {"summary": summarize(runs), "runs": runs}
+    return {f"trace.seed{args.seed}": out}
+
+
+def wall_s(cmd, cwd, env):
+    t0 = time.perf_counter()
+    out = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+    return time.perf_counter() - t0, out
+
+
+def e2e(args) -> dict:
+    sides = sides_of(args)
+    samples = sorted((ROOT / "scenarios").glob("*.yaml"))
+    cli_ms = {side: {p.name: [] for p in samples} for side in sides}
+    tier1 = {side: [] for side in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in range(E2E_REPEATS):
+            order = list(sides) if k % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                env = dict(os.environ, PYTHONPATH=str(sides[side] / "src"))
+                for path in samples:
+                    task = emdyn.scenario.load_scenario(path).task
+                    s, out = wall_s([sys.executable, "-m", "emdyn.cli", task,
+                                     "--scenario", str(path), "--out",
+                                     str(Path(tmp) / side / path.stem)],
+                                    sides[side], env)
+                    if out.returncode != 0:
+                        raise RuntimeError(f"{side} {path.name}: {out.stderr}")
+                    cli_ms[side][path.name].append(1e3 * s)
+                s, out = wall_s(TIER1, sides[side], env)
+                tier1[side].append({"wall_s": round(s, 2), "summary":
+                                    out.stdout.strip().splitlines()[-1]})
+                print(json.dumps({side: tier1[side][-1]}), flush=True)
+    return {"e2e": {
+        "repeats": E2E_REPEATS,
+        "cli_ms_median": {side: {name: round(statistics.median(v), 1)
+                                 for name, v in per.items()}
+                          for side, per in cli_ms.items()},
+        "tier1": {side: {"wall_s_median": statistics.median(
+                             r["wall_s"] for r in runs), "runs": runs}
+                  for side, runs in tier1.items()}}}
 
 
 def add_pairs_parser(sub) -> None:
@@ -368,9 +448,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
     sub.add_parser("scaling").add_argument("--parent")
     add_pairs_parser(sub)
+    p = sub.add_parser("trace")
+    p.add_argument("--parent", required=True)
+    p.add_argument("--seed", type=int, default=3)
+    sub.add_parser("e2e").add_argument("--parent", required=True)
     args = parser.parse_args(argv)
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
-    data.update(scaling(args) if args.cmd == "scaling" else pairs(args))
+    data.update({"scaling": scaling, "pairs": pairs, "trace": trace,
+                 "e2e": e2e}[args.cmd](args))
     data["machine"] = machine()
     OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0

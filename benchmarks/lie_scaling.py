@@ -14,11 +14,8 @@ largest elementwise difference of the two bases.  Every dimension is checked
 against ``tests/conftest.py::svd_rank_closure``.  It then rebuilds the
 controllability scenarios of perfbench's ``mode_elimination`` cycles 0–2 at
 seeds 3 and 9001 from ``perfbench/workloads.py`` and checks both closure
-dimensions of each against the SVD oracle.  ``e2e`` records the two
-end-to-end numbers: the CLI's wall time per sample scenario (a fresh
-interpreter per run) and the Tier-1 suite's wall time, each the median of
-``REPEATS`` runs, on the parent checkout ``DIR`` and on this one, alternating
-which runs first.  ``pairs`` is ``benchmarks/block_scaling.py``'s alternating perfbench
+dimensions of each against the SVD oracle.  ``e2e`` and ``pairs`` are
+``benchmarks/block_scaling.py``'s end-to-end timer and alternating perfbench
 runner.  Each subcommand updates its own key of the JSON file and the machine
 info.  BLAS is pinned to one thread in this process and in the runs it
 starts.  Exit status 1 when a dimension disagrees with the oracle.
@@ -27,16 +24,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 import block_scaling  # pins BLAS to one thread before numpy loads
-from block_scaling import add_pairs_parser, machine, pairs, timed
+from block_scaling import add_pairs_parser, e2e, machine, pairs, timed
 
 import numpy as np
 
@@ -50,8 +44,6 @@ from conftest import (ising_chain, mgs_lie_closure, rand_hermitian,  # noqa: E40
 from emdyn import control, scenario  # noqa: E402
 
 OUT = ROOT / "BENCH_7.json"
-REPEATS = 5
-TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def closure_cases():
@@ -120,45 +112,6 @@ def scaling(args) -> dict:
           and all(c["dims"] == c["svd_dims"] for c in checks))
     return {"scaling": rows, "perfbench_controllability": checks,
             "all_match_svd_oracle": ok}
-
-
-def wall_s(cmd, cwd, env):
-    t0 = time.perf_counter()
-    out = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
-    return time.perf_counter() - t0, out
-
-
-def e2e(args) -> dict:
-    sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
-    samples = sorted((ROOT / "scenarios").glob("*.yaml"))
-    cli_ms = {side: {p.name: [] for p in samples} for side in sides}
-    tier1 = {side: [] for side in sides}
-    with tempfile.TemporaryDirectory() as tmp:
-        for k in range(REPEATS):
-            order = list(sides) if k % 2 == 0 else list(sides)[::-1]
-            for side in order:
-                env = dict(os.environ, PYTHONPATH=str(sides[side] / "src"))
-                for path in samples:
-                    task = scenario.load_scenario(path).task
-                    s, out = wall_s([sys.executable, "-m", "emdyn.cli", task,
-                                     "--scenario", str(path), "--out",
-                                     str(Path(tmp) / side / path.stem)],
-                                    sides[side], env)
-                    if out.returncode != 0:
-                        raise RuntimeError(f"{side} {path.name}: {out.stderr}")
-                    cli_ms[side][path.name].append(1e3 * s)
-                s, out = wall_s(TIER1, sides[side], env)
-                tier1[side].append({"wall_s": round(s, 2), "summary":
-                                    out.stdout.strip().splitlines()[-1]})
-                print(json.dumps({side: tier1[side][-1]}), flush=True)
-    return {"e2e": {
-        "repeats": REPEATS,
-        "cli_ms_median": {side: {name: round(statistics.median(v), 1)
-                                 for name, v in per.items()}
-                          for side, per in cli_ms.items()},
-        "tier1": {side: {"wall_s_median": statistics.median(
-                             r["wall_s"] for r in runs), "runs": runs}
-                  for side, runs in tier1.items()}}}
 
 
 def main(argv=None) -> int:

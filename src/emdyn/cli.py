@@ -19,10 +19,11 @@ import dataclasses
 import hashlib
 import json
 import sys
+from functools import cache
+from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, bounds, circuit, control, emergent, liouville
 from .errors import DegenerateFit, EmdynError, NumericalError, ValidationError
@@ -53,6 +54,12 @@ def _write_json(path: Path, obj) -> None:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@cache
+def _scipy_version() -> str:
+    """From SciPy's metadata (emdyn never imports it), once per process."""
+    return version("scipy")
 
 
 def _marginal_purities(rho: np.ndarray, dims) -> tuple[float, float]:
@@ -233,7 +240,7 @@ def run(scenario: Scenario, out_dir, seed: int | None = None,
         "versions": {
             "emdyn": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
         "outputs": {

@@ -294,22 +294,23 @@ def _components(g: np.ndarray) -> np.ndarray:
 
 def _real_generator(gen: np.ndarray, d: int) -> np.ndarray:
     """``Tᴴ gen T``, ``T`` the basis of :func:`_hermitian_basis`, as a real
-    matrix: ``gen`` preserves Hermiticity (checked once per model by
-    :func:`propagate`), so the imaginary part is rounding and is dropped.
+    matrix, for a d²×d² ``gen`` or each of a stack of them: ``gen``
+    preserves Hermiticity (checked once per model by :func:`propagate`), so
+    the imaginary part is rounding and is dropped.
 
     Formed by row and column gathers (``np.take``; no product with ``T``),
-    scaled and summed in place, so at most two d⁴-sized temporaries live
-    beside ``gen``.
+    scaled and summed in place, so at most two temporaries of ``gen``'s size
+    live beside it.
     """
     i1, i2, w1, w2 = _hermitian_basis(d)[:4]
-    cols = np.take(gen, i1, axis=1)
+    cols = np.take(gen, i1, axis=-1)
     cols *= w1.conj()
-    part = np.take(gen, i2, axis=1)
+    part = np.take(gen, i2, axis=-1)
     part *= w2.conj()
     cols += part
-    g = np.take(cols, i1, axis=0)
+    g = np.take(cols, i1, axis=-2)
     g *= w1[:, None]
-    np.take(cols, i2, axis=0, out=part, mode="clip")   # "clip": unbuffered
+    np.take(cols, i2, axis=-2, out=part, mode="clip")   # "clip": unbuffered
     part *= w2[:, None]
     g += part
     return g.real
@@ -317,33 +318,36 @@ def _real_generator(gen: np.ndarray, d: int) -> np.ndarray:
 
 def _evolve_real_basis(gen: np.ndarray, rho: np.ndarray,
                        t: float) -> np.ndarray:
-    """``exp(t gen) rho`` for a Hermiticity-preserving d²×d² ``gen``, by a
-    real ``expm`` of ``Tᴴ gen T`` (:func:`_real_generator`).  The map is an
-    exact similarity transform, so ``rho`` need not be Hermitian.
+    """``exp(t gen) rho`` for a Hermiticity-preserving d²×d² ``gen``, or for
+    each member of stacks ``gen`` and ``rho``, by a real ``expm`` of ``Tᴴ gen
+    T`` (:func:`_real_generator`).  The map is an exact similarity
+    transform, so ``rho`` need not be Hermitian.
 
-    Only the connected components of that matrix's exact nonzero pattern
-    (:func:`_components`) that ``rho``'s coordinates touch are exponentiated;
-    every other coordinate of the result is exactly zero.  Each goes through
-    :func:`opcore.expm`'s halved real path (at ``‖t G‖₁ ≈ 1e5`` it errs by
-    1e-11, SciPy's real ``expm`` by up to 2.9e-10; a complex ``expm`` would
-    cost 1.5–3.9×) with the block's trace row (its diagonal coordinates) as
-    ``conserved``.  That pins the trace of a trace-preserving block: a d = 5
-    Lindblad generator at ``‖t G‖₂ ≈ 1.3e6`` errs by 5e-12, not 8.6e-11.
+    Only the connected components of the members' joint exact nonzero
+    pattern (:func:`_components`) that some ``rho``'s coordinates touch are
+    exponentiated, each for the whole stack in one :func:`opcore.expm` call;
+    every other coordinate of the result is exactly zero.  A component of
+    the joint pattern is an exact invariant set of every member.  The real
+    ``expm`` is 1.5–3.9× cheaper than a complex one, and each call gets the
+    component's trace row (its diagonal coordinates) as ``conserved``.  That
+    pins the trace of a trace-preserving block: a d = 5 Lindblad generator
+    at ``‖t G‖₂ ≈ 1.3e6`` errs by 5e-12, not 8.6e-11.
     """
-    d = rho.shape[0]
+    d = rho.shape[-1]
     i1, i2, w1, w2, j1, j2, u1, u2 = _hermitian_basis(d)
     g = _real_generator(gen, d)
-    v = rho.reshape(-1)
-    x = w1 * v[i1] + w2 * v[i2]
+    v = rho.reshape(rho.shape[:-2] + (d * d,))
+    x = w1 * v[..., i1] + w2 * v[..., i2]
     y = np.zeros_like(x)
-    lab = _components(g)
-    diag = np.arange(d * d) < d     # coordinates of |i><i|: the trace
-    for c in np.unique(lab[x != 0]):
-        b = lab == c
-        tr = diag[b].astype(float)
-        e = opcore.expm(g[b][:, b], t, conserved=tr if tr.any() else None)
-        y[b] = e @ x[b].real + 1j * (e @ x[b].imag)
-    return (u1 * y[j1] + u2 * y[j2]).reshape(d, d)
+    lab = _components(g.reshape(-1, d * d, d * d).any(axis=0))
+    for c in np.unique(lab[(x != 0).reshape(-1, d * d).any(axis=0)]):
+        b = np.flatnonzero(lab == c)
+        tr = (b < d).astype(float)      # coordinates of |i><i|: the trace
+        e = opcore.expm(g[..., b[:, None], b], t,
+                        conserved=tr if tr.any() else None)
+        xb = x[..., b, None]
+        y[..., b] = (e @ xb.real + 1j * (e @ xb.imag))[..., 0]
+    return (u1 * y[..., j1] + u2 * y[..., j2]).reshape(rho.shape)
 
 
 def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
@@ -356,29 +360,38 @@ def _evolve_blocks(comps, block_gens, rho0: np.ndarray,
                    t: float) -> np.ndarray:
     """``exp(t G) rho0`` for a ``G`` with exact invariant blocks ``rho[I_a,
     I_b]`` (``I_a`` in ``comps``), ``block_gens(ia, ib)`` the generators of
-    ``rho[ia[n], ib[n]]`` for stacked index sets.  Only the pairs ``a ≤ b``
-    that ``rho0`` occupies are evolved, built together per block shape: a
-    diagonal pair by :func:`_evolve_real_basis`, an off-diagonal pair
-    by one complex ``expm``, with ``rho[I_b, I_a] = rho[I_a, I_b]ᴴ``."""
-    rho = np.zeros_like(rho0)
-    shapes: dict[tuple[int, int], list] = {}
-    for a, ia in enumerate(comps):
-        for ib in comps[a:]:
-            x = (rho0[np.ix_(ia, ib)] + rho0[np.ix_(ib, ia)].conj().T) / 2
-            if x.any():
-                shapes.setdefault(x.shape, []).append((ia, ib, x))
-    for pairs in shapes.values():
-        ias, ibs, xs = zip(*pairs)
-        for ia, ib, x, gen in zip(ias, ibs, xs, block_gens(np.array(ias),
-                                                            np.array(ibs))):
-            blk, tr = np.ix_(ia, ib), np.ix_(ib, ia)
-            if ia is ib:
-                rho[blk] = _evolve_real_basis(gen, x, t)
-            else:
-                rho[blk] = (opcore.expm(gen, t) @ x.reshape(-1)).reshape(
-                    x.shape)
-                rho[tr] = rho[blk].conj().T
-    return rho
+    ``rho[ia[n], ib[n]]`` for stacked index sets.
+
+    ``rho0`` is permuted so that each ``I_a`` is one contiguous range.  Only
+    the pairs ``a ≤ b`` that ``rho0`` occupies are evolved, all of one block
+    shape together: the diagonal pairs by one :func:`_evolve_real_basis`,
+    the off-diagonal pairs by one complex ``expm``, with ``rho[I_b, I_a] =
+    rho[I_a, I_b]ᴴ``."""
+    perm = np.concatenate(comps)
+    sizes = np.array([len(c) for c in comps])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    x = rho0[perm[:, None], perm]
+    x = (x + x.conj().T) / 2
+    occupied = np.logical_or.reduceat(np.logical_or.reduceat(
+        x != 0, starts, axis=0), starts, axis=1)
+    shapes: dict[tuple, list] = {}
+    for a, b in zip(*np.nonzero(np.triu(occupied))):
+        shapes.setdefault((a == b, sizes[a], sizes[b]), []).append((a, b))
+    rho = np.zeros_like(x)
+    for (diagonal, na, nb), pairs in shapes.items():
+        a, b = np.array(pairs).T
+        rows = (starts[a][:, None] + np.arange(na))[:, :, None]
+        cols = (starts[b][:, None] + np.arange(nb))[:, None, :]
+        gens = block_gens(np.array([comps[k] for k in a]),
+                          np.array([comps[k] for k in b]))
+        if diagonal:
+            rho[rows, cols] = _evolve_real_basis(gens, x[rows, cols], t)
+        else:
+            y = opcore.expm(gens, t) @ x[rows, cols].reshape(-1, na * nb, 1)
+            rho[rows, cols] = y.reshape(-1, na, nb)
+            rho[cols, rows] = y.reshape(-1, na, nb).conj()
+    back = np.argsort(perm)
+    return rho[back[:, None], back]
 
 
 def _leading_eigenbasis(me: MasterEquation):
@@ -456,14 +469,17 @@ def _evolve_dense(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     ``g4[I_a, I_b, I_a, I_b]``."""
     d = rho0.shape[0]
     g4 = gen.reshape(d, d, d, d)
-    nz = i, j, k, l = np.unravel_index(_nonzero(gen), g4.shape)
-    _check_generator(gen, d, nz)
+    f = _nonzero(gen)
+    nz = i, j, k, l = np.unravel_index(f, g4.shape)
+    _check_generator(gen, d, (f, nz))
     links = np.zeros((d, d), dtype=bool)
     links[i, k] = links[j, l] = True
 
     def block_gens(ia, ib):
-        return [g4[np.ix_(x, y, x, y)].reshape(len(x) * len(y), -1)
-                for x, y in zip(ia, ib)]
+        na, nb = ia.shape[1], ib.shape[1]
+        return g4[ia[:, :, None, None, None], ib[:, None, :, None, None],
+                  ia[:, None, None, :, None], ib[:, None, None, None, :]
+                  ].reshape(len(ia), na * nb, na * nb)
 
     return _evolve_blocks(_blocks(links), block_gens, rho0, t)
 
@@ -471,16 +487,19 @@ def _evolve_dense(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
 def _check_generator(gen: np.ndarray, d: int, nz=None) -> None:
     """Raise :class:`ValidationError` unless the d²×d² ``gen`` preserves
     Hermiticity: ``g4[i, j, k, l] = conj(g4[j, i, l, k])`` at every nonzero
-    entry (``nz = (i, j, k, l)``, found here when not given), to 1e-10
-    times ``max(1, largest entry)`` (the floor of 1 keeps a generator that
-    cancels to rounding noise, such as a d = 1 dissipator, from being
-    rejected)."""
-    g4 = gen.reshape(d, d, d, d)
+    entry, to 1e-10 times ``max(1, largest entry)`` (the floor of 1 keeps a
+    generator that cancels to rounding noise, such as a d = 1 dissipator,
+    from being rejected).  ``nz = (f, (i, j, k, l))``, the flat indices of
+    the nonzero entries and their 4-D indices, is found here when not given;
+    the mirror of flat index ``f`` is ``f + (j−i)(d³−d²) + (l−k)(d−1)``."""
     if nz is None:
-        nz = np.unravel_index(_nonzero(gen), g4.shape)
-    i, j, k, l = nz
-    val = g4[i, j, k, l]
-    if np.abs(val - g4[j, i, l, k].conj()).max(initial=0.0) > 1e-10 * max(
+        f = _nonzero(gen)
+        nz = f, np.unravel_index(f, (d, d, d, d))
+    f, (i, j, k, l) = nz
+    flat = gen.reshape(-1)
+    val = flat.take(f)
+    mirror = flat.take(f + (j - i) * (d ** 3 - d * d) + (l - k) * (d - 1))
+    if np.abs(val - mirror.conj()).max(initial=0.0) > 1e-10 * max(
             1.0, np.abs(val).max(initial=0.0)):
         raise ValidationError("generator does not preserve Hermiticity")
 
@@ -520,7 +539,8 @@ def propagate(model: DissipativeCoupling | MasterEquation | np.ndarray,
     eigenbasis of ``A`` and ``B`` (its full generator, coherent term
     included).  A :class:`MasterEquation` and a dense row-vectorized
     generator ``gen`` are evolved over the exact invariant blocks
-    ``rho[I_a, I_b]`` of the generator (:func:`_evolve_blocks`).  The
+    ``rho[I_a, I_b]`` of the generator, the occupied pairs of one block
+    shape exponentiated together (:func:`_evolve_blocks`).  The
     model is first rotated over its leading factors into the joint
     eigenbasis of their parts when they commute
     (:func:`_leading_eigenbasis`), and its blocks are built from the

@@ -20,7 +20,6 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (BadFactorIndex, DimMismatch, NotDensityMatrix,
                      NotHermitian)
@@ -165,40 +164,75 @@ def herm_eig(op: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(lams, tuple(projs))
 
 
+#: Coefficients b_0 … b_9 of the [9/9] Padé approximant to ``exp`` (Higham,
+#: SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  Its backward error stays
+#: below unit roundoff for 1-norms up to θ9 ≈ 2.098.
+_PADE9 = (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+          30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)
+#: Rows ``(b_3, b_5, b_7, b_9)`` and ``(b_2, b_4, b_6, b_8)``: the weights of
+#: ``(a², a⁴, a⁶, a⁸)`` in the odd part's factor and in the even part.
+_PADE9_SUMS = np.array([_PADE9[3::2], _PADE9[2:9:2]])
+
+
 def expm(op: np.ndarray, scale: complex = 1.0, *,
          conserved: np.ndarray | None = None) -> np.ndarray:
-    """Matrix exponential ``exp(scale * op)`` (scaling-and-squaring Padé).
+    """Matrix exponential ``exp(scale * op)`` of a matrix or of each matrix
+    of a stack ``(..., n, n)``.
 
-    A real ``op`` with a real ``scale`` stays real, which makes the
-    products about four times cheaper than complex ones.  SciPy's real
-    path loses accuracy as it squares, so a real argument of 1-norm above 64
-    is halved to at most 2 first and the result squared back.
+    An exactly Hermitian ``op`` with a purely imaginary ``scale`` is
+    exponentiated in its eigenbasis, ``V diag(exp(scale w)) Vᴴ``, which is
+    unitary to rounding at any ``scale``.  Any other argument goes through
+    scaling and squaring: the stack is halved ``s`` times, the fewest that
+    bring its largest 1-norm to at most 2, the [9/9] Padé approximant is
+    taken of every member, and each is squared ``s`` times.  A real ``op``
+    with a real ``scale`` stays real, which makes the products about four
+    times cheaper than complex ones.
 
-    ``conserved`` is a nonzero real row ``c``.  If ``c @ op`` is zero to
-    1e-14 of the argument's 1-norm (``c`` the trace row of a
-    trace-preserving generator), each square on the halved path has one
-    row (at the first nonzero of ``c``) corrected so that ``c @ e == c``
-    again.  That pins the eigenvalue 1 of ``e``, whose rounding error
-    otherwise doubles with every squaring (about ``2^s u`` after ``s``).
+    ``conserved`` is a nonzero real row ``c``.  If every member's ``c @
+    op`` is zero to 1e-14 of its argument's 1-norm (``c`` the trace row of
+    trace-preserving generators), each square has one row (at the first
+    nonzero of ``c``) corrected so that ``c @ e == c`` again.  That pins the
+    eigenvalue 1 of ``e``, whose rounding error otherwise doubles with every
+    squaring (about ``2^s u`` after ``s``).
     """
     op = np.asarray(op)
     if op.dtype.kind != "c":
         op = op.astype(float, copy=False)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+    if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
         raise DimMismatch(f"expm argument must be square, got {op.shape}")
+    if (complex(scale).real == 0 and scale != 0
+            and np.array_equal(op, op.conj().swapaxes(-1, -2))):
+        w, v = np.linalg.eigh(op)
+        return (v * np.exp(scale * w)[..., None, :]) @ v.conj().swapaxes(-1,
+                                                                         -2)
     a = scale * op
-    norm = np.abs(a).sum(axis=0).max() if a.dtype.kind != "c" else 0.0
-    s = math.ceil(math.log2(norm / 2.0)) if norm > 64.0 else 0
-    e = scipy.linalg.expm(a * 0.5 ** s if s else a)
-    w = None
-    if (conserved is not None and s
-            and np.abs(conserved @ a).max() <= 1e-14 * norm):
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    top = norms.max(initial=0.0)
+    s = math.ceil(math.log2(top / 2.0)) if 2.0 < top < np.inf else 0
+    pin = (conserved is not None and s > 0
+           and (np.abs(conserved @ a).max(axis=-1) <= 1e-14 * norms).all())
+    if s:
+        a = a * 0.5 ** s
+    # a², a⁴, a⁶, a⁸ in one buffer, so each Padé sum is one product
+    pw = np.empty((4,) + a.shape, dtype=a.dtype)
+    np.matmul(a, a, out=pw[0])
+    for k in (1, 2, 3):
+        np.matmul(pw[k - 1], pw[0], out=pw[k])
+    flat = pw.reshape(4, -1)
+    u, v = (_PADE9_SUMS @ (flat.view(float) if a.dtype.kind == "c" else flat)
+            ).view(a.dtype).reshape((2,) + a.shape)
+    n = a.shape[-1]
+    u.reshape(-1, n * n)[:, ::n + 1] += _PADE9[1]
+    v.reshape(-1, n * n)[:, ::n + 1] += _PADE9[0]
+    u = a @ u
+    e = np.linalg.solve(v - u, v + u)
+    if pin:
         j = np.flatnonzero(conserved)[0]
         w = conserved / conserved[j]
     for _ in range(s):
         e = e @ e
-        if w is not None:
-            e[j] += w - w @ e       # back to w @ e == w
+        if pin:
+            e[..., j, :] += w - w @ e       # back to w @ e == w
     return e
 
 

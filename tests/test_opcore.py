@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +45,65 @@ def test_expm_conserved_row(rng):
     b = a + np.eye(6)
     npt.assert_array_equal(opcore.expm(b, 10.0, conserved=ones),
                            opcore.expm(b, 10.0))
+    # a stack shares one halving count and pins every member
+    stack = np.stack([a, 0.1 * a, a.T - np.diag(a.T.sum(axis=0))])
+    e = opcore.expm(stack, 1e3, conserved=ones)
+    assert np.abs(ones @ e - ones).max() <= 1e-14
+    npt.assert_allclose(e, opcore.expm(stack, 1e3), atol=1e-9)
+    # one member that does not conserve the row leaves the stack unpinned
+    stack[1] += np.eye(6)
+    npt.assert_array_equal(opcore.expm(stack, 10.0, conserved=ones),
+                           opcore.expm(stack, 10.0))
+
+
+@st.composite
+def expm_stacks(draw):
+    """1–6 members of one size n ≤ 12, each a Lindblad block generator
+    (``_superop`` of random a×a and b×b operators) or an anti-Hermitian
+    matrix, scaled to a 1-norm between 1e-3 and 1e4; or, with ``real``,
+    real ones (real jumps, no Hamiltonian; real antisymmetric)."""
+    real = draw(st.booleans())
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n = a * b
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def op(k):
+        x = rng.normal(size=(k, k))
+        return x if real else x + 1j * rng.normal(size=(k, k))
+
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            h_l, h_r = (np.zeros((k, k)) if real else rand_hermitian(rng, k)
+                        for k in (a, b))
+            g = opcore._superop(h_l, h_r, [(op(a), op(b), 1.0)])
+            g = g.real if real else g
+        else:
+            x = op(n)
+            g = x - x.conj().T
+        norm = 10.0 ** draw(st.floats(-3.0, 4.0))
+        members.append(g * norm / max(np.abs(g).sum(axis=0).max(), 1e-300))
+    return np.stack(members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(expm_stacks())
+def test_stacked_expm_matches_scipy(stack):
+    e = opcore.expm(stack)
+    assert e.shape == stack.shape
+    assert (e.dtype.kind == "c") == (stack.dtype.kind == "c")
+    for g, got in zip(stack, e):
+        # typed complex: SciPy's real path loses accuracy as it squares
+        want = scipy.linalg.expm(g.astype(complex))
+        assert np.abs(got - want).max() <= 1e-10
+    npt.assert_array_equal(opcore.expm(stack[:1])[0], opcore.expm(stack[0]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_hermitian_expm_is_unitary_at_large_t(rng, d):
+    h = rand_hermitian(rng, d)
+    u = opcore.expm(h, -1j * 1e10)
+    assert np.abs(u @ u.conj().T - np.eye(d)).max() <= 1e-12
 
 
 def test_trace_distance_pure_vs_mixed():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import emdyn
 from emdyn import cli, circuit, scenario
 from emdyn.errors import NotHermitian, ParseError, ValidationError
 from emdyn.scenario import (MAX_PAULI_FACTORS, VALID_TASKS, emit_scenario,
@@ -558,6 +562,25 @@ def test_cli_overflowing_evolution_exits_3(tmp_path, capsys):
     assert ("numerical failure: propagated state has non-finite entries"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t", ["1.0e+6", "1.0e+10"])
+def test_cli_bounds_at_large_t(tmp_path, t):
+    # exp(-i t lam B) of a non-diagonal B stays unitary at any t, so the
+    # target stays normalized
+    doc = tmp_path / "large_t.yaml"
+    doc.write_text(BOUNDS.replace("B: sz", "B: sx").replace(
+        "t: [0.2, 0.5, 1.0]", f"t: [{t}]"))
+    assert run_cli("bounds", "--scenario", str(doc),
+                   "--out", str(tmp_path / "out")) == 0
+
+
+def test_import_leaves_scipy_linalg_out():
+    code = ("import sys, emdyn, emdyn.cli; "
+            "sys.exit('scipy.linalg' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(emdyn.__file__).resolve().parent.parent))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 CONTROL = (SCENARIO_DIR / "controllability_ising.yaml").read_text()
