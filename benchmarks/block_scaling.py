@@ -73,7 +73,7 @@ from conftest import (kron_superop, rand_density,  # noqa: E402
                       rand_hermitian, rotated_frame_loop, working_point)
 from perfbench import reference  # noqa: E402
 
-OUT = ROOT / "BENCH_14.json"
+OUT = ROOT / "BENCH_16.json"
 DENSE_REPEATS = 2000
 E2E_REPEATS = 5
 TRACE_RUNS = 5
@@ -130,9 +130,17 @@ def load_parent(path):
     return mod
 
 
+def eliminated_jump(em, *args):
+    """The jump matrix of ``adiabatic_eliminate(*args)``, which returns it
+    as a matrix or, in newer checkouts, as a ``DissipativeCoupling``."""
+    out = em.circuit.adiabatic_eliminate(*args)
+    return out if isinstance(out, np.ndarray) else out.jump_operator()
+
+
 def elimination_model(em, n_max):
     """Criterion 07's model at gamma_a = 100, the middle of its sweep: its
-    parameters, eliminated jump and full model."""
+    parameters, eliminated model (what ``adiabatic_eliminate`` returns) and
+    full model."""
     gamma_a, phi1, phi2 = 100.0, 0.1, 0.7
     lam1 = np.sqrt(0.6 * gamma_a) / 2
     lam2 = 0.5 * lam1
@@ -215,7 +223,8 @@ def dissipator_build(em, d, kind):
     4, with exact zeros) or of the rotated frame's dense ``M`` on d2 levels
     (the 64×64 ``D[M]`` at d2 = 8), against its Kronecker build."""
     if kind == "elimination":
-        L = elimination_model(em, 4)[1]
+        lam1, lam2, gamma_a, phi1, phi2 = elimination_model(em, 4)[0]
+        L = eliminated_jump(em, lam1, lam2, phi1, phi2, gamma_a, SZ, SX)
     else:
         c = pulsed_task(em, d).coupling
         lam = em.opcore.herm_eig(c.A).eigenvalues[0]
@@ -268,7 +277,7 @@ def pulsed_task(em, d2):
 
 
 def rotated_frame(em, d2):
-    """The rotated-frame marginal: per-substep loop vs one expm per segment."""
+    """The rotated-frame marginal: per-substep loop vs the library's route."""
     task = pulsed_task(em, d2)
     return (lambda: rotated_frame_loop(task)[0],
             lambda: em.bounds.rotated_frame_marginal(task)[0])
@@ -284,8 +293,8 @@ def dense_call(em, d, kind):
         gen = em.opcore.dissipator_superop(L / np.abs(L).sum(0).max())
     else:
         B = rand_hermitian(rng, d // 2)
-        gen = em.opcore.dissipator_superop(em.circuit.adiabatic_eliminate(
-            5.0, 2.5, 0.1, 0.7, 100.0, SZ, B / np.abs(B).sum(0).max()))
+        gen = em.opcore.dissipator_superop(eliminated_jump(
+            em, 5.0, 2.5, 0.1, 0.7, 100.0, SZ, B / np.abs(B).sum(0).max()))
     rho0 = np.eye(d, dtype=complex) / d
     rho0[0, 1] = rho0[1, 0] = 0.5 / d
     return (lambda: reference.evolve(gen, rho0, 2.0),

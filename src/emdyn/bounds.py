@@ -16,6 +16,7 @@ coupling operator.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,9 @@ import numpy as np
 from . import opcore
 from .errors import RequiresNoPulse, ValidationError
 from .liouville import (ControlPulse, DissipativeCoupling, _a_eigenspace,
-                        _check_generator, _checked_states, propagate,
+                        _check_pulse_dim, _checked_states, _rates, propagate,
                         propagate_controlled)
-from .opcore import (dissipator_superop, herm_eig, partial_trace, tensor)
+from .opcore import herm_eig, partial_trace, tensor
 
 __all__ = [
     "GateTask", "make_gate_task",
@@ -54,15 +55,17 @@ class GateTask:
     def __post_init__(self):
         for name in ("psi0", "target"):
             v = np.asarray(getattr(self, name), dtype=complex).reshape(-1)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+            if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
                 raise ValidationError(f"{name} is not normalized to 1e-12")
             if v.shape[0] != self.coupling.d2:
                 raise ValidationError(
                     f"{name} lives on dim {v.shape[0]}, S2 has {self.coupling.d2}")
             object.__setattr__(self, name, v)
-        if self.t < 0:
-            raise ValidationError("duration must be >= 0")
+        if not 0 <= self.t < np.inf:
+            raise ValidationError(
+                f"duration must be finite and >= 0, got {self.t}")
         if self.pulse is not None:
+            _check_pulse_dim(self.pulse, self.coupling)
             total = self.pulse.total_duration
             if abs(total - self.t) > 1e-9 * max(1.0, self.t):
                 raise ValidationError(
@@ -96,15 +99,11 @@ def make_gate_task(coupling: DissipativeCoupling, psi0: np.ndarray, t: float,
     ``exp(-i (lam_a (g + eta sin phi) B + H_k) dt_k)`` applied to ``psi0``.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    if psi0.shape[0] != coupling.d2:
-        raise ValidationError(
-            f"psi0 lives on dim {psi0.shape[0]}, S2 has {coupling.d2}")
     norm = np.linalg.norm(psi0)
-    if norm < 1e-12:
-        raise ValidationError("psi0 is the zero vector")
+    if not 1e-12 <= norm < np.inf:
+        raise ValidationError(f"psi0 must be finite and nonzero, norm {norm}")
     psi0 = psi0 / norm
-    if t < 0:
-        raise ValidationError("duration must be >= 0")
+    checked = GateTask(psi0, psi0, t, coupling, pulse, a_eigenindex)
     coeff = coupling.drift(_a_eigenspace(coupling, a_eigenindex)[0])
     if pulse is None:
         u = opcore.expm(coupling.B, -1j * t * coeff)
@@ -113,8 +112,7 @@ def make_gate_task(coupling: DissipativeCoupling, psi0: np.ndarray, t: float,
         for k, (dur, _) in enumerate(pulse.segments):
             hk = coeff * coupling.B + pulse.segment_hamiltonian(k)
             u = opcore.expm(hk, -1j * dur) @ u
-    target = u @ psi0
-    return GateTask(psi0, target, t, coupling, pulse, a_eigenindex)
+    return dataclasses.replace(checked, target=u @ psi0)
 
 
 # --------------------------------------------------------------------------
@@ -125,9 +123,10 @@ def exact_error_commuting(task: GateTask) -> float:
     """Closed-form fidelity error for the commuting (pulse-free) case.
 
     With the target expanded over the merged eigenspaces of ``B`` with
-    weights ``w_n``, the error is
-    ``1 − sum_{n,m} w_n w_m exp(−(t eta^2 / 2 gamma)(lam_n − lam_m)^2)``.
-    Valid when the task's target was generated from ``psi0`` by the drift.
+    weights ``w_n``, the error is ``1 − sum_{n,m} w_n w_m exp(t Re R_nm)``
+    with ``t Re R_nm = −(t eta^2 / 2 gamma)(lam_n − lam_m)^2``, ``R`` the
+    rates of the jump's part in ``B``, ``c.jump(0, lam)``.  Valid when the
+    task's target was generated from ``psi0`` by the drift.
     """
     if task.pulse is not None:
         raise RequiresNoPulse("closed form requires a pulse-free task")
@@ -137,13 +136,8 @@ def exact_error_commuting(task: GateTask) -> float:
     dec = herm_eig(c.B)
     w = np.array([np.real(np.vdot(task.target, p @ task.target))
                   for p in dec.projectors])
-    lam = dec.eigenvalues
-    x = task.t * c.eta ** 2 / (2 * c.gamma)
-    f = 0.0
-    for wn, ln in zip(w, lam):
-        for wm, lm in zip(w, lam):
-            f += wn * wm * np.exp(-x * (ln - lm) ** 2)
-    return float(1.0 - f)
+    return float(1.0 - w @ np.exp(
+        task.t * _rates(c.jump(0.0, dec.eigenvalues)).real) @ w)
 
 
 def gamma_threshold(task: GateTask, margin: float = 100.0) -> float:
@@ -154,8 +148,6 @@ def gamma_threshold(task: GateTask, margin: float = 100.0) -> float:
     """
     c = task.coupling
     lam = herm_eig(c.B).eigenvalues
-    if len(lam) < 2:
-        return 0.0
     max_gap = float(lam[-1] - lam[0])   # ascending spectrum
     return float(margin * c.eta ** 2 * (task.t / 2.0) * max_gap ** 2)
 
@@ -171,8 +163,7 @@ def error_upper_bound(task: GateTask) -> float:
     c = task.coupling
     if c.gamma <= 0:
         raise ValidationError("bound needs gamma > 0")
-    w = np.linalg.eigvalsh(c.B)
-    bnorm = float(np.max(np.abs(w)))
+    bnorm = float(np.max(np.abs(np.linalg.eigvalsh(c.B))))
     b2norm = float(np.max(np.abs(np.linalg.eigvalsh(c.B @ c.B))))
     return float(task.t * c.eta ** 2 / (2 * c.gamma) * (bnorm ** 2 + b2norm))
 
@@ -212,11 +203,12 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
     and stays there, so S2 evolves alone under the jump
     ``sqrt(gamma) (lam − i gamma^{-1} Btilde(t))``.  The time dependence is
     handled by midpoint-frozen substeps (the exponential-midpoint rule).
-    The jump at a midpoint ``V`` is ``V† M V`` with ``M = sqrt(gamma) (lam −
-    i gamma^{-1} eta B)``, so a substep is ``rho ↦ V† E(V rho V†) V`` with
-    ``E = exp(tau D[M])``: one ``expm`` per segment.  :func:`propagate`'s
-    checks run on ``D[M]`` and on the stack of every substep's state.
-    Returns ``(rho2_rotated, V_total)``; undoing the rotation on the
+    The jump at a midpoint ``V`` is ``V† M V``, ``M = c.jump(lam, B)``, so a
+    substep is ``rho ↦ V⁻¹ E(V rho V†) V⁻ᴴ`` with ``E = exp(tau D[M])``,
+    which in ``B``'s eigenbasis multiplies each entry by ``exp(tau R)``
+    (:func:`liouville._rates`); no superoperator is formed.
+    :func:`propagate`'s state checks run on the stack of every substep's
+    state.  Returns ``(rho2_rotated, V_total)``; undoing the rotation on the
     lab-frame marginal must reproduce ``rho2_rotated`` (a consistency check
     on the rotating-frame construction used for pulsed targets).
     """
@@ -227,8 +219,8 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
         raise ValidationError("rotated-frame route assumes g == 0")
     lam = _a_eigenspace(c, task.a_eigenindex)[0]
     d = c.d2
-    gen = dissipator_superop(c.jump(lam * np.eye(d), c.B))
-    _check_generator(gen, d)
+    b, u = np.linalg.eigh(c.B)
+    rates = _rates(c.jump(lam, b) if c.gamma > 0 else np.zeros(d))
     rho = np.outer(task.psi0, task.psi0.conj())
     v = np.eye(d, dtype=complex)
     for k, (dur, _) in enumerate(task.pulse.segments):
@@ -236,14 +228,14 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
         w, q = np.linalg.eigh(task.pulse.segment_hamiltonian(k))
         tau = dur / substeps
         phases = np.exp(-1j * np.outer(tau * (np.arange(substeps) + 0.5), w))
-        v_mid = (q * phases[:, None, :]) @ (q.conj().T @ v)
-        step = opcore.expm(gen, tau)
+        w_mid = u.conj().T @ (q * phases[:, None, :]) @ (q.conj().T @ v)
+        step = np.exp(tau * rates)
         states = np.empty((substeps + 1, d, d), dtype=complex)
         states[0] = rho
-        # V⁻¹ (not Vᴴ) undoes V exactly; Vᴴ's rounding would accumulate
-        for n, (vn, vi) in enumerate(zip(v_mid, np.linalg.inv(v_mid))):
-            x = step @ (vn @ states[n] @ vn.conj().T).reshape(-1)
-            states[n + 1] = vi @ x.reshape(d, d) @ vi.conj().T
+        # W⁻¹ (not Wᴴ) undoes W exactly; Wᴴ's rounding would accumulate
+        for n, (wn, wi) in enumerate(zip(w_mid, np.linalg.inv(w_mid))):
+            x = step * (wn @ states[n] @ wn.conj().T)
+            states[n + 1] = wi @ x @ wi.conj().T
         rho = _checked_states(states[:-1], states[1:])[-1]
         v = (q * np.exp(-1j * dur * w)) @ (q.conj().T @ v)
     return rho, v

@@ -16,9 +16,8 @@ import numpy as np
 from . import opcore
 from .errors import (DispersiveViolation, NegativeToneFrequency,
                      TruncationTooSmall, ValidationError, ZeroPrimaryCoupling)
-from .liouville import MasterEquation, propagate
-from .opcore import (HilbertSpace, dissipator_superop, partial_trace, tensor,
-                     trace_distance)
+from .liouville import DissipativeCoupling, MasterEquation, propagate
+from .opcore import HilbertSpace, partial_trace, tensor, trace_distance
 
 __all__ = [
     "BosonicMode", "CircuitParams", "EffectiveCoupling", "ToneSet",
@@ -45,7 +44,7 @@ class BosonicMode:
     def __post_init__(self):
         if self.n_max < 2:
             raise ValidationError(f"n_max must be >= 2, got {self.n_max}")
-        if self.gamma_z <= 0:
+        if not 0 < self.gamma_z < np.inf:
             raise ValidationError(f"gamma_z must be > 0, got {self.gamma_z}")
 
     @property
@@ -135,7 +134,7 @@ class SystemBathParams:
     n_max: int = 6
 
     def __post_init__(self):
-        if self.gamma_a <= 0:
+        if not 0 < self.gamma_a < np.inf:
             raise ValidationError(f"gamma_a must be > 0, got {self.gamma_a}")
         if self.n_max < 2:
             raise ValidationError("n_max must be >= 2")
@@ -167,23 +166,23 @@ def fock_vacuum(dim: int) -> np.ndarray:
 
 def adiabatic_eliminate(lambda1: float, lambda2: float, phi1: float,
                         phi2: float, gamma_a: float, A: np.ndarray,
-                        B: np.ndarray) -> np.ndarray:
-    """Effective jump operator after eliminating the damped mode.
+                        B: np.ndarray) -> DissipativeCoupling:
+    """The coupling left after eliminating the damped mode.
 
-    ``L = (2 lambda1 / sqrt(gamma_a)) [A ⊗ 1 + (lambda2/lambda1)
-    e^{-i(phi1 − phi2)} 1 ⊗ B]``; with ``phi2 − phi1 = pi + phi`` this is the
-    non-local jump with ``eta/gamma = lambda2/lambda1`` and phase ``phi``.
+    Its jump is ``L = (2 lambda1 / sqrt(gamma_a)) [A ⊗ 1 + (lambda2/lambda1)
+    e^{-i(phi1 − phi2)} 1 ⊗ B]`` up to a global sign, which ``D[L]`` does
+    not see: the coupling with ``gamma = 4 lambda1²/gamma_a``, ``eta = 4
+    |lambda1 lambda2|/gamma_a`` and ``phi = phi2 − phi1 + pi``, or ``phi2 −
+    phi1`` when ``lambda2/lambda1 < 0``.  ``A`` and ``B`` must be Hermitian.
     """
-    if gamma_a <= 0:
+    if not 0 < gamma_a < np.inf:
         raise ValidationError(f"gamma_a must be > 0, got {gamma_a}")
     if lambda1 == 0:
         raise ZeroPrimaryCoupling("lambda1 must be nonzero to eliminate")
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    a1 = tensor([A, np.eye(B.shape[0])])
-    b2 = tensor([np.eye(A.shape[0]), B])
-    ratio = (lambda2 / lambda1) * np.exp(-1j * (phi1 - phi2))
-    return (2 * lambda1 / np.sqrt(gamma_a)) * (a1 + ratio * b2)
+    flip = np.pi if lambda1 * lambda2 >= 0 else 0.0
+    return DissipativeCoupling(A, B, gamma=4 * lambda1 ** 2 / gamma_a,
+                               eta=4 * abs(lambda1 * lambda2) / gamma_a,
+                               phi=phi2 - phi1 + flip)
 
 
 def build_system_bath(params: SystemBathParams, A: np.ndarray, B: np.ndarray,
@@ -216,15 +215,17 @@ def build_system_bath(params: SystemBathParams, A: np.ndarray, B: np.ndarray,
                           HilbertSpace((d1, d2, dm)))
 
 
-def validate_elimination(full: MasterEquation, L_eff: np.ndarray,
-                         rho0: np.ndarray, t: float) -> float:
+def validate_elimination(full: MasterEquation, eliminated, rho0: np.ndarray,
+                         t: float) -> float:
     """Trace distance between full and eliminated dynamics at time ``t``.
 
     ``full`` lives on system ⊗ mode (mode last, initialized in vacuum);
-    ``L_eff`` and ``rho0`` live on the system alone.  The distance shrinks
-    roughly like ``1/gamma_a`` as the mode damping grows.  :func:`propagate`
-    evolves ``full`` in the joint eigenbasis of its system parts when they
-    commute (as for the couplings ``A ⊗ 1`` and ``1 ⊗ B`` of
+    ``eliminated``, any model :func:`propagate` takes (such as the coupling
+    of :func:`adiabatic_eliminate`, which it evolves in closed form), and
+    ``rho0`` live on the system alone.  The distance shrinks roughly like
+    ``1/gamma_a`` as the mode damping grows.  :func:`propagate` evolves
+    ``full`` in the joint eigenbasis of its system parts when they commute
+    (as for the couplings ``A ⊗ 1`` and ``1 ⊗ B`` of
     :func:`build_system_bath`), one block per system matrix element.
     """
     dims = full.space.factor_dims
@@ -236,8 +237,7 @@ def validate_elimination(full: MasterEquation, L_eff: np.ndarray,
             f"rho0 shape {rho0.shape} does not match system dims {sys_dims}")
     rho_full = propagate(full, tensor([rho0, fock_vacuum(dims[-1])]), t)
     sys_marginal = partial_trace(rho_full, dims, range(len(sys_dims)))
-    rho_eff = propagate(dissipator_superop(L_eff), rho0, t)
-    return trace_distance(sys_marginal, rho_eff)
+    return trace_distance(sys_marginal, propagate(eliminated, rho0, t))
 
 
 # --------------------------------------------------------------------------

@@ -37,14 +37,15 @@ class UnitaryMixture:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if np.any(p < -1e-12):
-            raise ValidationError(f"negative probability in {p}")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not np.all(p >= -1e-12):
+            raise ValidationError(f"negative or NaN probability in {p}")
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValidationError(f"probabilities sum to {p.sum()}, not 1")
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
         for u in self.unitaries:
             d = u.shape[0]
-            if np.linalg.norm(u @ u.conj().T - np.eye(d), ord=np.inf) > 1e-10:
+            if not np.linalg.norm(u @ u.conj().T - np.eye(d),
+                                  ord=np.inf) <= 1e-10:
                 raise ValidationError("mixture element is not unitary to 1e-10")
 
 
@@ -56,6 +57,8 @@ def strong_damping_map(c: DissipativeCoupling, rho1_init: np.ndarray,
     probability ``p_j = tr(P_j rho1)`` and unitary
     ``U_j = exp(-i t lam_j (g + eta sin phi) B)``.
     """
+    if not np.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t}")
     rho1 = opcore.check_density(rho1_init, name="rho1_init")
     if rho1.shape[0] != c.d1:
         raise DimMismatch(

@@ -49,10 +49,12 @@ class DissipativeCoupling:
     def __post_init__(self):
         object.__setattr__(self, "A", check_hermitian(self.A, "A"))
         object.__setattr__(self, "B", check_hermitian(self.B, "B"))
-        if self.gamma < 0:
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
-        if self.eta < 0:
-            raise ValidationError(f"eta must be >= 0, got {self.eta}")
+        for name in ("gamma", "eta", "phi", "g"):
+            value = getattr(self, name)
+            if not -np.inf < value < np.inf:
+                raise ValidationError(f"{name} must be finite, got {value}")
+            if name in ("gamma", "eta") and value < 0:
+                raise ValidationError(f"{name} must be >= 0, got {value}")
         if self.gamma == 0 and self.eta != 0:
             raise ValidationError("gamma == 0 requires eta == 0")
         if self.gamma > 0 and self.eta >= self.gamma:
@@ -129,13 +131,19 @@ class ControlPulse:
     def __post_init__(self):
         hams = tuple(check_hermitian(h, f"H_{i}")
                      for i, h in enumerate(self.hamiltonians))
+        if not hams:
+            raise ValidationError("a control pulse needs a Hamiltonian")
+        shapes = {h.shape for h in hams}
+        if len(shapes) > 1:
+            raise DimMismatch(f"Hamiltonians differ in shape: {shapes}")
         object.__setattr__(self, "hamiltonians", hams)
         segs = []
         for dur, coeffs in self.segments:
             dur = float(dur)
             coeffs = tuple(float(c) for c in coeffs)
-            if dur <= 0:
-                raise ValidationError(f"segment duration must be > 0, got {dur}")
+            if not (0 < dur < np.inf and np.isfinite(coeffs).all()):
+                raise ValidationError(f"segment {(dur, coeffs)} needs a "
+                                      "finite duration > 0, finite weights")
             if len(coeffs) != len(hams):
                 raise ValidationError(
                     f"coefficient vector length {len(coeffs)} != "
@@ -148,11 +156,9 @@ class ControlPulse:
         return sum(dur for dur, _ in self.segments)
 
     def segment_hamiltonian(self, k: int) -> np.ndarray:
-        _, coeffs = self.segments[k]
-        h = np.zeros_like(self.hamiltonians[0])
-        for c, hk in zip(coeffs, self.hamiltonians):
-            h = h + c * hk
-        return h
+        terms = zip(self.segments[k][1], self.hamiltonians)
+        return sum((c * hk for c, hk in terms),
+                   np.zeros_like(self.hamiltonians[0]))
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ class MasterEquation:
             op = np.asarray(op, dtype=complex)
             if op.shape != (d, d):
                 raise DimMismatch(f"jump shape {op.shape} != ({d}, {d})")
-            if rate < 0:
+            if not 0 <= rate < np.inf:
                 raise ValidationError(f"jump rate must be >= 0, got {rate}")
             jumps.append((op, float(rate)))
         object.__setattr__(self, "jumps", tuple(jumps))
@@ -222,18 +228,25 @@ def reduced_s2_generator(c: DissipativeCoupling, j: int) -> tuple[float, float]:
 # propagation
 # --------------------------------------------------------------------------
 
-def _evolve_coupling(c: DissipativeCoupling, rho0: np.ndarray,
-                     t: float) -> np.ndarray:
-    """Closed-form ``exp(t G) rho0`` for the coupling's generator ``G``.
-
-    ``L`` and ``g A1 B2`` are both diagonal in the product eigenbasis of
-    ``A`` and ``B``, with eigenvalues ``l_k`` and ``h_k``.  There each entry
-    evolves on its own: ``rho_kl(t) = exp(t (l_k l_l* − ½|l_k|² − ½|l_l|²
-    − i (h_k − h_l))) rho_kl(0)``.  The real part of the rate is written as
+def _rates(l: np.ndarray, h=0.0) -> np.ndarray:
+    """``R`` with ``exp(t (D[L] − i [H, ·])) rho = exp(t R) ∘ rho`` for ``L``
+    and ``H`` diagonal, with eigenvalues ``l_k`` and ``h_k``: ``R_kl = l_k
+    l_l* − ½|l_k|² − ½|l_l|² − i (h_k − h_l)``.  The real part is written as
     ``−½|l_k − l_l|²`` so that it does not cancel at large gamma, and
     ``Im(l_k l_l*)`` from real products, so that it is exactly antisymmetric
     and the diagonal, whose rate is exactly 0, does not turn at large ``t``.
     """
+    return (-0.5 * np.abs(l[:, None] - l[None, :]) ** 2
+            + 1j * (l.imag[:, None] * l.real - l.real[:, None] * l.imag
+                    - np.subtract.outer(h, h)))
+
+
+def _evolve_coupling(c: DissipativeCoupling, rho0: np.ndarray,
+                     t: float) -> np.ndarray:
+    """Closed-form ``exp(t G) rho0`` for the coupling's generator ``G``:
+    ``L`` and ``g A1 B2`` are both diagonal in the product eigenbasis of
+    ``A`` and ``B``, where ``G`` multiplies each entry by its rate
+    (:func:`_rates`)."""
     a, ua = np.linalg.eigh(c.A)
     b, ub = np.linalg.eigh(c.B)
     u = opcore._kron(ua, ub)
@@ -241,9 +254,7 @@ def _evolve_coupling(c: DissipativeCoupling, rho0: np.ndarray,
     if c.gamma > 0:
         l = c.jump(a[:, None], b[None, :]).reshape(-1)
     h = c.g * np.outer(a, b).reshape(-1)
-    rate = (-0.5 * np.abs(l[:, None] - l[None, :]) ** 2
-            + 1j * (l.imag[:, None] * l.real - l.real[:, None] * l.imag
-                    - (h[:, None] - h[None, :])))
+    rate = _rates(l, h)
     return u @ (np.exp(t * rate) * (u.conj().T @ rho0 @ u)) @ u.conj().T
 
 
@@ -455,12 +466,6 @@ def _evolve_master_equation(me: MasterEquation, rho0: np.ndarray,
                               t) @ wh
 
 
-def _nonzero(gen: np.ndarray) -> np.ndarray:
-    """Flat nonzero indices of a complex array, via its cheaper float view."""
-    part = gen.reshape(-1).view(float) != 0
-    return np.flatnonzero(part[0::2] | part[1::2])
-
-
 def _evolve_dense(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """``g4 = gen.reshape(d, d, d, d)`` moves ``rho[k, l]`` into ``rho[i, j]``
     only where ``g4[i, j, k, l] != 0``.  One scan of those entries serves
@@ -469,7 +474,8 @@ def _evolve_dense(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     ``g4[I_a, I_b, I_a, I_b]``."""
     d = rho0.shape[0]
     g4 = gen.reshape(d, d, d, d)
-    f = _nonzero(gen)
+    part = gen.reshape(-1).view(float) != 0     # cheaper than complex
+    f = np.flatnonzero(part[0::2] | part[1::2])
     nz = i, j, k, l = np.unravel_index(f, g4.shape)
     _check_generator(gen, d, (f, nz))
     links = np.zeros((d, d), dtype=bool)
@@ -484,17 +490,14 @@ def _evolve_dense(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     return _evolve_blocks(_blocks(links), block_gens, rho0, t)
 
 
-def _check_generator(gen: np.ndarray, d: int, nz=None) -> None:
+def _check_generator(gen: np.ndarray, d: int, nz) -> None:
     """Raise :class:`ValidationError` unless the d²×d² ``gen`` preserves
     Hermiticity: ``g4[i, j, k, l] = conj(g4[j, i, l, k])`` at every nonzero
     entry, to 1e-10 times ``max(1, largest entry)`` (the floor of 1 keeps a
     generator that cancels to rounding noise, such as a d = 1 dissipator,
-    from being rejected).  ``nz = (f, (i, j, k, l))``, the flat indices of
-    the nonzero entries and their 4-D indices, is found here when not given;
+    from being rejected).  ``nz = (f, (i, j, k, l))`` holds the flat indices
+    of the nonzero entries and their 4-D indices (:func:`_evolve_dense`);
     the mirror of flat index ``f`` is ``f + (j−i)(d³−d²) + (l−k)(d−1)``."""
-    if nz is None:
-        f = _nonzero(gen)
-        nz = f, np.unravel_index(f, (d, d, d, d))
     f, (i, j, k, l) = nz
     flat = gen.reshape(-1)
     val = flat.take(f)
@@ -559,8 +562,9 @@ def propagate(model: DissipativeCoupling | MasterEquation | np.ndarray,
     The result passes the checks of :func:`_checked_states`; an evolution
     that overflows raises :class:`NumericalError` there, without a warning.
     """
-    if t < 0:
-        raise ValidationError(f"propagation time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValidationError(
+            f"propagation time must be finite and >= 0, got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
     if isinstance(model, DissipativeCoupling):
@@ -593,6 +597,12 @@ def propagate(model: DissipativeCoupling | MasterEquation | np.ndarray,
     return _checked_states(rho0, rho)
 
 
+def _check_pulse_dim(pulse: ControlPulse, c: DissipativeCoupling) -> None:
+    d = pulse.hamiltonians[0].shape[0]
+    if d != c.d2:
+        raise DimMismatch(f"control Hamiltonian dim {d} != S2 dim {c.d2}")
+
+
 def propagate_controlled(c: DissipativeCoupling, pulse: ControlPulse | None,
                          rho0: np.ndarray) -> np.ndarray:
     """Propagate under the full generator plus a piecewise-constant control.
@@ -607,14 +617,11 @@ def propagate_controlled(c: DissipativeCoupling, pulse: ControlPulse | None,
     rho = np.asarray(rho0, dtype=complex)
     if pulse is None or not pulse.segments:
         return rho.copy()
+    _check_pulse_dim(pulse, c)
     h = c.coherent_hamiltonian()
     jumps = ((c.jump_operator(), 1.0),) if c.gamma > 0 else ()
     eye1 = np.eye(c.d1)
     for k, (dur, _) in enumerate(pulse.segments):
-        h2 = pulse.segment_hamiltonian(k)
-        if h2.shape[0] != c.d2:
-            raise DimMismatch(
-                f"control Hamiltonian dim {h2.shape[0]} != S2 dim {c.d2}")
-        me = MasterEquation(h + tensor([eye1, h2]), jumps, c.space)
-        rho = propagate(me, rho, dur)
+        h2 = tensor([eye1, pulse.segment_hamiltonian(k)])
+        rho = propagate(MasterEquation(h + h2, jumps, c.space), rho, dur)
     return rho

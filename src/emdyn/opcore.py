@@ -157,11 +157,8 @@ def herm_eig(op: np.ndarray) -> SpectralDecomposition:
         else:
             clusters.append([i])
     lams = np.array([np.mean(w[c]) for c in clusters])
-    projs = []
-    for c in clusters:
-        vc = v[:, c]
-        projs.append(vc @ vc.conj().T)
-    return SpectralDecomposition(lams, tuple(projs))
+    projs = tuple(v[:, c] @ v[:, c].conj().T for c in clusters)
+    return SpectralDecomposition(lams, projs)
 
 
 #: Coefficients b_0 … b_9 of the [9/9] Padé approximant to ``exp`` (Higham,

@@ -230,7 +230,7 @@ def test_criterion_08_jrm_pipeline():
     # channel amplitudes are negative; absorbing the sign shifts both
     # quadrature phases by pi
     L = circuit.adiabatic_eliminate(lam1t, lam2t, np.pi, np.pi + (np.pi + phi),
-                                    mode.gamma_z, A, B)
+                                    mode.gamma_z, A, B).jump_operator()
     want = np.sqrt(ec.gamma_eff) * (
         np.kron(A, np.eye(4))
         - ec.eta_over_gamma * np.exp(1j * phi) * np.kron(I2, B))

@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emdyn import circuit, liouville, opcore
-from emdyn.errors import (DispersiveViolation, NegativeToneFrequency,
-                          TruncationTooSmall, ValidationError,
-                          ZeroPrimaryCoupling)
+from emdyn.errors import (DimMismatch, DispersiveViolation,
+                          NegativeToneFrequency, TruncationTooSmall,
+                          ValidationError, ZeroPrimaryCoupling)
 
 from conftest import (dense_expm_oracle, modulation_forms, rand_density,
                       rand_hermitian, working_point)
@@ -120,12 +122,78 @@ def test_modulation_at_time_zero():
 
 
 def test_adiabatic_eliminate_form():
-    L = circuit.adiabatic_eliminate(1.0, 0.5, 0.2, 0.9, 4.0, SZ, SX)
+    L = circuit.adiabatic_eliminate(1.0, 0.5, 0.2, 0.9, 4.0, SZ, SX
+                                    ).jump_operator()
     want = (2.0 / 2.0) * (np.kron(SZ, np.eye(2))
                           + 0.5 * np.exp(-1j * (0.2 - 0.9)) * np.kron(np.eye(2), SX))
     npt.assert_allclose(L, want, atol=1e-14)
     with pytest.raises(ZeroPrimaryCoupling):
         circuit.adiabatic_eliminate(0.0, 0.5, 0.0, 0.0, 4.0, SZ, SX)
+
+
+@st.composite
+def elimination_cases(draw):
+    """Couplings of either sign and size (``|lambda| <= gamma_a/8``, so an
+    ``n_max`` 2 system-bath model passes its truncation check), phases,
+    ``gamma_a``, and Hermitian ``A``, ``B`` of unit norm with d <= 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A, B = (rand_hermitian(rng, draw(st.integers(1, 3))) for _ in range(2))
+    A, B = (x / np.abs(np.linalg.eigvalsh(x)).max() for x in (A, B))
+    gamma_a = 10 ** draw(st.floats(-1.0, 3.0))
+
+    def coupling(zero_ok):
+        size = gamma_a * 10 ** draw(st.floats(-3.0, np.log10(1 / 8)))
+        if zero_ok and draw(st.booleans()) and draw(st.booleans()):
+            return 0.0
+        return draw(st.sampled_from([-1.0, 1.0])) * size
+
+    lam1, lam2 = coupling(False), coupling(True)
+    phases = tuple(draw(st.floats(-2 * np.pi, 2 * np.pi)) for _ in range(2))
+    rho0 = rand_density(rng, A.shape[0] * B.shape[0])
+    return lam1, lam2, phases, gamma_a, A, B, rho0, draw(st.floats(0.1, 2.0))
+
+
+@pytest.mark.filterwarnings("ignore:eta=")      # |lambda2| >= |lambda1|
+@settings(max_examples=100, deadline=None)
+@given(elimination_cases())
+def test_eliminated_coupling_matches_jump_formula(case):
+    lam1, lam2, (phi1, phi2), gamma_a, A, B, rho0, t = case
+    c = circuit.adiabatic_eliminate(lam1, lam2, phi1, phi2, gamma_a, A, B)
+    d1, d2 = A.shape[0], B.shape[0]
+    terms = (2 * lam1 / np.sqrt(gamma_a)) * np.array([
+        np.kron(A, np.eye(d2)),
+        (lam2 / lam1) * np.exp(-1j * (phi1 - phi2)) * np.kron(np.eye(d1), B)])
+    want = terms.sum(axis=0)
+    got = c.jump_operator()
+    sign = np.sign(lam1)        # D[L] does not see L's global sign
+    # relative to the terms: with A = -B their sum cancels
+    assert np.max(np.abs(sign * got - want)) <= 1e-12 * np.abs(terms).max()
+    full = circuit.build_system_bath(
+        circuit.SystemBathParams(lam1, lam2, gamma_a, n_max=2), A, B,
+        (phi1, phi2))
+    dense = circuit.validate_elimination(
+        full, opcore.dissipator_superop(want), rho0, t)
+    assert abs(circuit.validate_elimination(full, c, rho0, t) - dense) <= 1e-12
+
+
+def test_validate_elimination_rejects_a_bare_jump():
+    # a d×d jump is not a d²×d² generator: never read as one
+    c = circuit.adiabatic_eliminate(1.0, 0.5, 0.2, 0.9, 4.0, SZ, SX)
+    full = circuit.build_system_bath(
+        circuit.SystemBathParams(1.0, 0.5, 4.0, n_max=4), SZ, SX, (0.2, 0.9))
+    rho0 = np.kron(np.eye(2), np.eye(2)) / 4
+    with pytest.raises(DimMismatch):
+        circuit.validate_elimination(full, c.jump_operator(), rho0, 1.0)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0])
+def test_mode_damping_must_be_finite_and_positive(rate):
+    with pytest.raises(ValidationError):
+        circuit.BosonicMode(n_max=4, omega_z=1.0, gamma_z=rate)
+    with pytest.raises(ValidationError):
+        circuit.SystemBathParams(1.0, 0.5, rate)
+    with pytest.raises(ValidationError):
+        circuit.adiabatic_eliminate(1.0, 0.5, 0.0, 0.0, rate, SZ, SX)
 
 
 def test_system_bath_guards():
@@ -150,14 +218,14 @@ def test_elimination_distance_shrinks_with_damping():
     assert dists[1] < dists[0] / 50
 
 
-def _unrotated_distance(full, L, rho0, t):
-    """validate_elimination's distance from dense complex expms, unrotated."""
+def _unrotated_distance(full, gen, rho0, t):
+    """validate_elimination's distance from dense complex expms, unrotated,
+    with ``gen`` the eliminated model's generator."""
     dims = full.space.factor_dims
     rho = dense_expm_oracle(full.generator(), np.kron(
         rho0, circuit.fock_vacuum(dims[-1])), t)
     marginal = opcore.partial_trace(rho, dims, range(len(dims) - 1))
-    return opcore.trace_distance(
-        marginal, dense_expm_oracle(opcore.dissipator_superop(L), rho0, t))
+    return opcore.trace_distance(marginal, dense_expm_oracle(gen, rho0, t))
 
 
 @pytest.mark.parametrize("ops, n_max", [("random", 4), ("random-2x3", 2),
@@ -179,7 +247,8 @@ def test_validate_elimination_matches_unrotated(rng, ops, n_max):
     _, h, _ = liouville._leading_eigenbasis(full)
     assert h is not full.hamiltonian   # the couplings commute: rotated
     got = circuit.validate_elimination(full, L, rho0, 2.0)
-    assert abs(got - _unrotated_distance(full, L, rho0, 2.0)) <= 1e-10
+    gen = opcore.dissipator_superop(L.jump_operator())
+    assert abs(got - _unrotated_distance(full, gen, rho0, 2.0)) <= 1e-10
 
 
 def test_validate_elimination_non_commuting_falls_back(rng):
@@ -192,10 +261,10 @@ def test_validate_elimination_non_commuting_falls_back(rng):
     w, h, _ = liouville._leading_eigenbasis(full)
     assert h is full.hamiltonian
     npt.assert_array_equal(w, np.eye(10))
-    L = 0.4 * SZ + 0.3 * SX
+    gen = opcore.dissipator_superop(0.4 * SZ + 0.3 * SX)
     rho0 = rand_density(rng, 2)
-    got = circuit.validate_elimination(full, L, rho0, 1.5)
-    assert abs(got - _unrotated_distance(full, L, rho0, 1.5)) <= 1e-10
+    got = circuit.validate_elimination(full, gen, rho0, 1.5)
+    assert abs(got - _unrotated_distance(full, gen, rho0, 1.5)) <= 1e-10
 
 
 def test_jrm_effective_dispersive_guard():

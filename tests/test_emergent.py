@@ -64,6 +64,21 @@ def test_mixture_validation():
                                 eigenvalues=(-1.0, 1.0))
 
 
+@pytest.mark.parametrize("probs, u", [
+    ((np.nan, 1.0), np.eye(2)), ((np.nan, np.nan), np.eye(2)),
+    ((0.5, 0.5), np.full((2, 2), np.nan))])
+def test_mixture_rejects_nan(probs, u):
+    with pytest.raises(ValidationError):
+        emergent.UnitaryMixture(probs=probs, unitaries=(np.eye(2), u),
+                                eigenvalues=(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_strong_damping_map_rejects_non_finite_time(t):
+    with pytest.raises(ValidationError, match="finite"):
+        emergent.strong_damping_map(make_coupling(), P0, t)
+
+
 def test_gap_closes_at_strong_damping():
     c = make_coupling(gamma=1e4, eta=1.0)
     gap = emergent.equivalence_gap(c, P0, P0, 1.0)

@@ -44,6 +44,20 @@ def test_coupling_validation():
         c.jump_operator()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gamma", np.nan), ("gamma", np.inf), ("eta", np.nan), ("eta", np.inf),
+    ("phi", np.nan), ("g", np.nan), ("g", -np.inf)])
+def test_coupling_rejects_non_finite_rates(field, value):
+    with pytest.raises(ValidationError, match="finite"):
+        make_coupling(**{field: value})
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
+def test_master_equation_rejects_bad_rates(rate):
+    with pytest.raises(ValidationError, match="jump rate"):
+        liouville.MasterEquation(SZ, ((SX, rate),), opcore.HilbertSpace((2,)))
+
+
 def test_eta_at_or_above_gamma_warns():
     with pytest.warns(UserWarning):
         make_coupling(gamma=1.0, eta=2.0)
@@ -98,6 +112,19 @@ def test_propagate_guards():
     out = liouville.propagate(gen, PLUS, 0.0)
     npt.assert_array_equal(out, PLUS)
     assert out is not PLUS
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+@pytest.mark.parametrize("model", ["coupling", "master", "dense"])
+def test_propagate_rejects_non_finite_time(model, t):
+    c = make_coupling()
+    model = {"coupling": c,
+             "master": liouville.MasterEquation(
+                 c.coherent_hamiltonian(), ((c.jump_operator(), 1.0),),
+                 c.space),
+             "dense": build_full_generator(c)}[model]
+    with pytest.raises(ValidationError, match="finite"):
+        liouville.propagate(model, np.kron(PLUS, P0), t)
 
 
 def test_propagate_is_trace_preserving_and_positive(rng):
@@ -482,9 +509,9 @@ def test_checked_states_covers_every_state_of_a_stack():
     with pytest.raises(NonPhysicalResult):
         liouville._checked_states(good, negative)
     gen = opcore.dissipator_superop(SX - 1j * P0)
-    liouville._check_generator(gen, 2)
+    liouville.propagate(gen, P0, 1.0)
     with pytest.raises(ValidationError, match="preserve Hermiticity"):
-        liouville._check_generator(gen + left_superop(SX), 2)
+        liouville.propagate(gen + left_superop(SX), P0, 1.0)
 
 
 def test_block_route_skips_unoccupied_blocks():
@@ -586,6 +613,22 @@ def test_cascaded_generator_identity_a():
     got = cascaded_generator(c)
     want = hamiltonian_superop(2 * 0.8 * np.kron(I2, SX))
     npt.assert_allclose(got, want, atol=1e-13)
+
+
+@pytest.mark.parametrize("dur, coeff", [
+    (np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan), (0.5, np.inf)])
+def test_control_pulse_rejects_non_finite_segments(dur, coeff):
+    with pytest.raises(ValidationError, match="finite"):
+        liouville.ControlPulse(segments=((dur, (coeff,)),), hamiltonians=(SX,))
+
+
+def test_control_pulse_rejects_malformed_hamiltonians():
+    # caught here, not as an IndexError or a broadcast error when propagated
+    with pytest.raises(ValidationError, match="needs a Hamiltonian"):
+        liouville.ControlPulse(segments=((0.5, ()),), hamiltonians=())
+    with pytest.raises(DimMismatch, match="differ in shape"):
+        liouville.ControlPulse(segments=((0.5, (1.0, 1.0)),),
+                               hamiltonians=(SX, np.eye(3)))
 
 
 def test_control_pulse_validation():
