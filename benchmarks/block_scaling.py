@@ -6,6 +6,8 @@ named by ``OUT``.
         --seed N --pairs K
     python benchmarks/block_scaling.py trace --parent DIR [--seed N]
     python benchmarks/block_scaling.py e2e --parent DIR
+    python benchmarks/block_scaling.py expm --parent DIR
+    python benchmarks/block_scaling.py probe --parent DIR [--seed N]
 
 ``scaling`` records ``oracle_ms`` and ``library_ms`` with the largest
 absolute difference of their results.  The oracle is the dense complex
@@ -39,9 +41,25 @@ cycles of each workload on both checkouts, alternating, with each side's
 median and quartiles.  ``e2e`` records the two end-to-end
 numbers: the CLI's wall time per sample scenario (a fresh interpreter per
 run) and the Tier-1 suite's wall time, each the median of ``E2E_REPEATS``
-runs on both checkouts, alternating which runs first.  Each subcommand
-updates its own key of the JSON file and the machine info.  BLAS is pinned
-to one thread in this process and in the runs it starts.
+runs on both checkouts, alternating which runs first.  ``expm`` times
+``opcore.expm`` on both checkouts, alternating call by call (median of
+``EXPM_REPEATS``), with each side's error against a 40-digit mpmath
+``expm``: the stacks one ``sb.n4`` item hands it (perfbench's first seed-3
+draw, which occupies every block pair: four 25×25 real pinned diagonal
+blocks and six 25×25 complex off-diagonal ones) at gamma_a = 10, 100 and
+1000, and single random complex 4×4 and real 16×16 matrices at 1-norm
+0.05 and 2.3.  An error is the largest member's 1-norm error; the
+``floor`` beside it is ``4 u ‖E‖₁``.  The same subcommand summarizes the
+errors of every stack member of five seeded ``sb.n4`` items and records
+the largest ``validate_elimination`` difference between the checkouts on
+those five sweeps and on criterion 07 at n_max 4, 6 and 8.
+``probe`` splits perfbench's ``mode_elimination`` set-up probe in fresh
+processes, ``PROBE_REPEATS`` per checkout, alternating: ``import emdyn``,
+importing perfbench, building cycle 0 and running its first ``sb.n4``
+item; beside it, the whole probe (``perfbench/run.py --probe``) and whether
+``python -X importtime -c 'import emdyn'`` lists the same modules on both.
+Each subcommand updates its own key of the JSON file and the machine info.
+BLAS is pinned to one thread in this process and in the runs it starts.
 """
 from __future__ import annotations
 
@@ -62,21 +80,26 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in BLAS_ENV:
     os.environ[_var] = "1"
 
+import mpmath  # noqa: E402
 import numpy as np  # noqa: E402  (after the BLAS pin)
 import scipy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests"),
+                str(ROOT / "perfbench")]
 
 import emdyn  # noqa: E402
 from conftest import (kron_superop, rand_density,  # noqa: E402
                       rand_hermitian, rotated_frame_loop, working_point)
+import workloads  # noqa: E402
 from perfbench import reference  # noqa: E402
 
-OUT = ROOT / "BENCH_16.json"
+OUT = ROOT / "BENCH_18.json"
 DENSE_REPEATS = 2000
 E2E_REPEATS = 5
 TRACE_RUNS = 5
+EXPM_REPEATS = 25
+PROBE_REPEATS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 WORKLOADS = ("gap_sweep", "mode_elimination")
 CLASS_LINE = re.compile(r"# class (\S+)\s+n=\s*\d+ median\s+(\S+) ms")
@@ -170,7 +193,8 @@ def pair_assembly(em, n_max):
     pattern = h != 0
     for op, _ in jumps:
         pattern |= op != 0
-    comps = em.liouville._blocks(pattern)
+    lab = em.liouville._components(pattern)
+    comps = [np.flatnonzero(lab == c) for c in np.unique(lab)]
     pairs = [(i, j) for a, i in enumerate(comps) for j in comps[a:]]
 
     def sub(op, i, j):
@@ -345,6 +369,207 @@ def scaling(args) -> dict:
     return {"scaling": rows}
 
 
+def sb4_models() -> list[tuple]:
+    """Five ``sb.n4`` models drawn as perfbench draws them (seed 3), then
+    criterion 07's at n_max 4, 6 and 8: ``(n_max, A, B, gamma_eff, ratio,
+    phi1, phi2, rho0)``."""
+    rng = np.random.default_rng(3)
+    models = []
+    for _ in range(5):
+        A, B = workloads.rand_herm(rng, 2), workloads.rand_herm(rng, 2)
+        a, b = workloads.rand_ket(rng, 2), workloads.rand_ket(rng, 2)
+        models.append((4, A, B, *rng.uniform([0.3, 0.3, 0, 0],
+                                             [0.9, 0.8, 2 * np.pi, 2 * np.pi]),
+                       np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))))
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    return models + [(n, SZ, SX, 0.6, 0.5, 0.1, 0.7, np.kron(plus, plus))
+                     for n in (4, 6, 8)]
+
+
+def sb4_distance(em, n, A, B, gamma_eff, ratio, phi1, phi2, rho0, gamma_a):
+    """``validate_elimination`` of one ``sb4_models`` model at ``gamma_a``,
+    t = 2, as perfbench's sweep items run it."""
+    lam1 = np.sqrt(gamma_eff * gamma_a) / 2
+    L = em.circuit.adiabatic_eliminate(lam1, ratio * lam1, phi1, phi2,
+                                       gamma_a, A, B)
+    full = em.circuit.build_system_bath(em.circuit.SystemBathParams(
+        lam1, ratio * lam1, gamma_a, n_max=n), A, B, (phi1, phi2))
+    return em.circuit.validate_elimination(full, L, rho0, 2.0)
+
+
+def sb4_stacks(em, gamma_a, model=None):
+    """The ``expm`` calls (``(op, scale, kwargs)``) of one ``sb4_models``
+    item (the first by default) at ``gamma_a``."""
+    seen = []
+    kernel = em.opcore.expm
+
+    def spy(op, scale=1.0, **kw):
+        seen.append((op, scale, kw))
+        return kernel(op, scale, **kw)
+
+    em.opcore.expm = spy
+    try:
+        sb4_distance(em, *(model or sb4_models()[0]), gamma_a)
+    finally:
+        em.opcore.expm = kernel
+    return seen
+
+
+def mp_error(got, ref) -> tuple[float, float]:
+    """1-norms of ``got − ref`` and of ``ref``, an mpmath matrix, reckoned
+    in mpmath."""
+    n = got.shape[-1]
+    cols = [(mpmath.fsum(abs(ref[i, j] - complex(got[i, j])) for i in range(n)),
+             mpmath.fsum(abs(ref[i, j]) for i in range(n))) for j in range(n)]
+    return float(max(c[0] for c in cols)), float(max(c[1] for c in cols))
+
+
+def mp_errors(gots, op, scale):
+    """Each stack of ``gots``' 1-norm error per member against mpmath's
+    40-digit ``expm`` of ``scale * op``, and ``4 u`` times each member's
+    1-norm."""
+    errs, floors = [[] for _ in gots], []
+    members = (scale * op).reshape((-1,) + op.shape[-2:])
+    for k, a in enumerate(members):
+        with mpmath.workdps(40):
+            ref = mpmath.expm(mpmath.matrix(a.tolist()))
+            for err, got in zip(errs, gots):
+                err.append(mp_error(got.reshape(members.shape)[k], ref)[0])
+            floors.append(4 * 2.0 ** -53 * mp_error(a, ref)[1])
+    return errs, floors
+
+
+def expm_rows(args) -> dict:
+    parent = load_parent(args.parent)
+    calls = [(f"sb.n4.gamma_a{g:g}", *call) for g in (10.0, 100.0, 1000.0)
+             for call in sb4_stacks(emdyn, g)]
+    rng = np.random.default_rng(18)
+    for n, kind in ((4, "complex"), (16, "real")):
+        x = rng.normal(size=(n, n))
+        if kind == "complex":
+            x = x + 1j * rng.normal(size=(n, n))
+        for norm in (0.05, 2.3):
+            calls.append((f"single.{n}x{n}.{kind}.norm{norm:g}",
+                          x * norm / np.abs(x).sum(axis=0).max(), 1.0, {}))
+    rows = []
+    for label, op, scale, kw in calls:
+        ms = alternated([lambda: parent.opcore.expm(op, scale, **kw),
+                         lambda: emdyn.opcore.expm(op, scale, **kw)],
+                        EXPM_REPEATS, statistics.median)
+        (parent_err, change_err), floor = mp_errors(
+            [parent.opcore.expm(op, scale, **kw),
+             emdyn.opcore.expm(op, scale, **kw)], op, scale)
+        rows.append({"case": label, "shape": list(op.shape),
+                     "dtype": op.dtype.name, "pinned": "conserved" in kw,
+                     "norm1": float(np.abs(scale * op).sum(axis=-2).max()),
+                     "parent_us": round(1e3 * ms[0], 1),
+                     "change_us": round(1e3 * ms[1], 1),
+                     "parent_err": max(parent_err),
+                     "change_err": max(change_err), "floor": max(floor),
+                     "member_err": {"parent": parent_err,
+                                    "change": change_err}})
+        print(json.dumps({k: v for k, v in rows[-1].items()
+                          if k != "member_err"}), flush=True)
+    return {"expm": rows, "expm_sb4_members": sb4_member_errors(parent),
+            "validate_elimination_vs_parent": elimination_vs_parent(parent)}
+
+
+def sb4_member_errors(parent) -> dict:
+    """Every ``expm`` stack member of the five seeded ``sb4_models`` items at
+    gamma_a 10, 100 and 1000: each side's median and largest 1-norm error
+    against mpmath per gamma_a and dtype, and how many members the change
+    errs no more on than the parent, up to ``4 u ‖E‖₁``."""
+    out = {}
+    for g in (10.0, 100.0, 1000.0):
+        for m in sb4_models()[:5]:
+            for op, scale, kw in sb4_stacks(emdyn, g, m):
+                (p_err, c_err), floor = mp_errors(
+                    [parent.opcore.expm(op, scale, **kw),
+                     emdyn.opcore.expm(op, scale, **kw)], op, scale)
+                errs = out.setdefault(f"gamma_a{g:g}.{op.dtype.name}",
+                                      {"parent": [], "change": [], "floor": []})
+                errs["parent"] += p_err
+                errs["change"] += c_err
+                errs["floor"] += floor
+    summary = {}
+    for key, e in out.items():
+        summary[key] = {
+            "members": len(e["parent"]),
+            "parent_median": statistics.median(e["parent"]),
+            "change_median": statistics.median(e["change"]),
+            "parent_max": max(e["parent"]), "change_max": max(e["change"]),
+            "change_no_worse": sum(c <= p + f for p, c, f in zip(
+                e["parent"], e["change"], e["floor"]))}
+        print(json.dumps({key: summary[key]}), flush=True)
+    return summary
+
+
+def elimination_vs_parent(parent) -> dict:
+    """Largest |distance difference| between the checkouts for each kind of
+    ``sb4_models`` model, over perfbench's five gamma_a."""
+    diffs = {}
+    for k, m in enumerate(sb4_models()):
+        key = "sb.n4" if k < 5 else f"c07.n{m[0]}"
+        for g in workloads.SB_GAMMAS:
+            diffs[key] = max(diffs.get(key, 0.0),
+                             abs(sb4_distance(emdyn, *m, g)
+                                 - sb4_distance(parent, *m, g)))
+    return diffs
+
+
+PROBE = r"""
+import json, sys, tempfile, time
+from pathlib import Path
+t0 = time.perf_counter()
+sys.path[:0] = ["src", "perfbench"]
+import emdyn
+t1 = time.perf_counter()
+import run, workloads
+t2 = time.perf_counter()
+with tempfile.TemporaryDirectory() as tmp:
+    items = run._cycle(workloads.WORKLOADS["mode_elimination"],
+                       int(sys.argv[1]), 0, workloads.Context(Path(tmp)))
+    t3 = time.perf_counter()
+    next(item for item in items if item.kind == "sb.n4").run()
+    t4 = time.perf_counter()
+print(json.dumps({"import_emdyn_s": t1 - t0, "import_perfbench_s": t2 - t1,
+                  "cycle0_build_s": t3 - t2, "first_sb_n4_s": t4 - t3}))
+"""
+
+
+def imported_modules(checkout) -> set:
+    out = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                          "import emdyn"], cwd=checkout, capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(checkout / "src")))
+    return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line} - {"package"}
+
+
+def probe(args) -> dict:
+    sides = sides_of(args)
+    runs = {side: [] for side in sides}
+    for k in range(PROBE_REPEATS):
+        for side in (list(sides) if k % 2 == 0 else list(sides)[::-1]):
+            out = subprocess.run([sys.executable, "-c", PROBE,
+                                  str(args.seed)], cwd=sides[side],
+                                 capture_output=True, text=True, check=True)
+            row = json.loads(out.stdout)
+            row["probe_total_s"] = wall_s(
+                [sys.executable, "perfbench/run.py", "--workload",
+                 "mode_elimination", "--seed", str(args.seed), "--seconds",
+                 "0", "--trace", "0", "--probe"], sides[side], os.environ)[0]
+            runs[side].append(row)
+        print(json.dumps({side: runs[side][-1] for side in sides}), flush=True)
+    modules = {side: imported_modules(path) for side, path in sides.items()}
+    return {f"probe.seed{args.seed}": {
+        "summary": {side: {m: quartiles([r[m] for r in rs]) for m in rs[0]}
+                    for side, rs in runs.items()},
+        "runs": runs,
+        "import_emdyn_modules": {side: len(m) for side, m in modules.items()},
+        "import_emdyn_modules_equal": modules["parent"] == modules["change"]}}
+
+
 def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": statistics.median(xs), "q1": q[0], "q3": q[2]}
@@ -461,10 +686,14 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True)
     p.add_argument("--seed", type=int, default=3)
     sub.add_parser("e2e").add_argument("--parent", required=True)
+    sub.add_parser("expm").add_argument("--parent", required=True)
+    p = sub.add_parser("probe")
+    p.add_argument("--parent", required=True)
+    p.add_argument("--seed", type=int, default=3)
     args = parser.parse_args(argv)
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data.update({"scaling": scaling, "pairs": pairs, "trace": trace,
-                 "e2e": e2e}[args.cmd](args))
+                 "e2e": e2e, "expm": expm_rows, "probe": probe}[args.cmd](args))
     data["machine"] = machine()
     OUT.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0

@@ -211,7 +211,12 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
     state.  Returns ``(rho2_rotated, V_total)``; undoing the rotation on the
     lab-frame marginal must reproduce ``rho2_rotated`` (a consistency check
     on the rotating-frame construction used for pulsed targets).
+    ``substeps`` must be a positive ``int`` (:class:`ValidationError`).
     """
+    if (isinstance(substeps, bool)
+            or not isinstance(substeps, (int, np.integer)) or substeps < 1):
+        raise ValidationError(
+            f"substeps must be a positive integer, got {substeps!r}")
     c = task.coupling
     if task.pulse is None:
         raise ValidationError("rotated-frame route is for pulsed tasks")
@@ -236,6 +241,7 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
         for n, (wn, wi) in enumerate(zip(w_mid, np.linalg.inv(w_mid))):
             x = step * (wn @ states[n] @ wn.conj().T)
             states[n + 1] = wi @ x @ wi.conj().T
-        rho = _checked_states(states[:-1], states[1:])[-1]
+        # a copy: a view would keep every substep's state alive
+        rho = _checked_states(states[:-1], states[1:])[-1].copy()
         v = (q * np.exp(-1j * dur * w)) @ (q.conj().T @ v)
     return rho, v

@@ -46,6 +46,8 @@ class BosonicMode:
             raise ValidationError(f"n_max must be >= 2, got {self.n_max}")
         if not 0 < self.gamma_z < np.inf:
             raise ValidationError(f"gamma_z must be > 0, got {self.gamma_z}")
+        if not -np.inf < self.omega_z < np.inf:
+            raise ValidationError(f"omega_z must be finite, got {self.omega_z}")
 
     @property
     def dim(self) -> int:
@@ -76,8 +78,13 @@ class CircuitParams:
 
     def __post_init__(self):
         object.__setattr__(self, "Omega", tuple(float(w) for w in self.Omega))
-        if len(self.Omega) != 3 or any(w <= 0 for w in self.Omega):
+        if len(self.Omega) != 3 or not all(0 < w < np.inf for w in self.Omega):
             raise ValidationError(f"Omega must be 3 positive frequencies, got {self.Omega}")
+        for name in ("E_J", "phi_ext", "phi0", "phi_z0", "alpha_x", "alpha_y",
+                     "lambda_1z", "lambda_2z", "lambda_3z"):
+            if not -np.inf < getattr(self, name) < np.inf:
+                raise ValidationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.phi0 <= 0:
             raise ValidationError("phi0 must be positive")
         if not self.dispersive_ok:
@@ -433,8 +440,11 @@ def nonreciprocity_conditions(params: CircuitParams,
 
     Returns ``(satisfied, direction)`` where the direction is ``"S1->S2"``
     for ``+pi/2`` (the pair of qubits 2, 3 evolves, qubit 1 is untouched)
-    and ``"S2->S1"`` for ``−pi/2``.
+    and ``"S2->S1"`` for ``−pi/2``.  A non-finite ``phi`` raises
+    :class:`ValidationError`.
     """
+    if not -np.inf < phi < np.inf:
+        raise ValidationError(f"phi must be finite, got {phi}")
     ec = effective_coupling_constants(params)
     gz = params.mode.gamma_z
     balanced = abs(ec.Lambda - gz) <= 1e-9 * max(abs(ec.Lambda), abs(gz))

@@ -288,8 +288,9 @@ def _components(g: np.ndarray) -> np.ndarray:
     """Connected-component labels of the exact nonzero pattern of ``g``.
 
     Coordinates ``k`` and ``l`` are linked when ``g[k, l]`` or ``g[l, k]`` is
-    nonzero; each coordinate is labelled with the smallest coordinate of its
-    component (min-label propagation with pointer jumping).
+    nonzero.  Min-label propagation with pointer jumping labels each
+    coordinate with the smallest coordinate of its component; the labels
+    returned number the components 0, 1, … in the order of those.
     """
     adj = g != 0
     adj |= adj.T
@@ -299,7 +300,7 @@ def _components(g: np.ndarray) -> np.ndarray:
         new = np.minimum(np.where(adj, lab, n).min(axis=1), lab)
         new = new[new]
         if (new == lab).all():
-            return lab
+            return np.cumsum(lab == np.arange(n))[lab] - 1
         lab = new
 
 
@@ -361,48 +362,45 @@ def _evolve_real_basis(gen: np.ndarray, rho: np.ndarray,
     return (u1 * y[..., j1] + u2 * y[..., j2]).reshape(rho.shape)
 
 
-def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
-    """Index sets ``I_a`` of the connected components of a d×d pattern."""
-    lab = _components(pattern)
-    return [np.flatnonzero(lab == c) for c in np.unique(lab)]
-
-
-def _evolve_blocks(comps, block_gens, rho0: np.ndarray,
+def _evolve_blocks(pattern: np.ndarray, block_gens, rho0: np.ndarray,
                    t: float) -> np.ndarray:
     """``exp(t G) rho0`` for a ``G`` with exact invariant blocks ``rho[I_a,
-    I_b]`` (``I_a`` in ``comps``), ``block_gens(ia, ib)`` the generators of
-    ``rho[ia[n], ib[n]]`` for stacked index sets.
+    I_b]``, ``I_a`` the components of the d×d ``pattern``, and
+    ``block_gens(ia, ib)`` the generators of ``rho[ia[n], ib[n]]``.
 
-    ``rho0`` is permuted so that each ``I_a`` is one contiguous range.  Only
-    the pairs ``a ≤ b`` that ``rho0`` occupies are evolved, all of one block
-    shape together: the diagonal pairs by one :func:`_evolve_real_basis`,
-    the off-diagonal pairs by one complex ``expm``, with ``rho[I_b, I_a] =
-    rho[I_a, I_b]ᴴ``."""
-    perm = np.concatenate(comps)
-    sizes = np.array([len(c) for c in comps])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    x = rho0[perm[:, None], perm]
-    x = (x + x.conj().T) / 2
-    occupied = np.logical_or.reduceat(np.logical_or.reduceat(
-        x != 0, starts, axis=0), starts, axis=1)
-    shapes: dict[tuple, list] = {}
-    for a, b in zip(*np.nonzero(np.triu(occupied))):
-        shapes.setdefault((a == b, sizes[a], sizes[b]), []).append((a, b))
+    Only the pairs ``a ≤ b`` where ``rho0`` has a nonzero are evolved, each
+    gathered from and scattered to ``rho[I_a, I_b]`` by its index sets.  The
+    pairs of one block shape share one ``block_gens`` call; the diagonal
+    ones are evolved by one :func:`_evolve_real_basis`, the others by one
+    complex ``expm``, with ``rho[I_b, I_a] = rho[I_a, I_b]ᴴ``."""
+    lab = _components(pattern)
+    comps = [np.flatnonzero(lab == c) for c in range(lab.max() + 1)]
+    x = (rho0 + rho0.conj().T) / 2
+    occupied = np.zeros((len(comps),) * 2, dtype=bool)
+    i, j = np.nonzero(x)
+    occupied[lab[i], lab[j]] = True
+    diagonal = np.flatnonzero(occupied.diagonal())
+    groups: dict[tuple, list] = {}
+    for a, b in [*zip(diagonal, diagonal),
+                 *zip(*np.nonzero(np.triu(occupied, 1)))]:
+        groups.setdefault((len(comps[a]), len(comps[b])), []).append((a, b))
     rho = np.zeros_like(x)
-    for (diagonal, na, nb), pairs in shapes.items():
+    for (na, nb), pairs in groups.items():
         a, b = np.array(pairs).T
-        rows = (starts[a][:, None] + np.arange(na))[:, :, None]
-        cols = (starts[b][:, None] + np.arange(nb))[:, None, :]
-        gens = block_gens(np.array([comps[k] for k in a]),
-                          np.array([comps[k] for k in b]))
-        if diagonal:
-            rho[rows, cols] = _evolve_real_basis(gens, x[rows, cols], t)
-        else:
-            y = opcore.expm(gens, t) @ x[rows, cols].reshape(-1, na * nb, 1)
-            rho[rows, cols] = y.reshape(-1, na, nb)
-            rho[cols, rows] = y.reshape(-1, na, nb).conj()
-    back = np.argsort(perm)
-    return rho[back[:, None], back]
+        rows = np.array([comps[k] for k in a])[:, :, None]
+        cols = np.array([comps[k] for k in b])[:, None, :]
+        gens = block_gens(rows[..., 0], cols[:, 0])
+        k = np.count_nonzero(a == b)        # the diagonal pairs come first
+        if k:
+            rho[rows[:k], cols[:k]] = _evolve_real_basis(
+                gens[:k], x[rows[:k], cols[:k]], t)
+        if k < len(a):
+            rows, cols = rows[k:], cols[k:]
+            y = (opcore.expm(gens[k:], t)
+                 @ x[rows, cols].reshape(-1, na * nb, 1)).reshape(-1, na, nb)
+            rho[rows, cols] = y
+            rho[cols, rows] = y.conj()
+    return rho
 
 
 def _leading_eigenbasis(me: MasterEquation):
@@ -462,7 +460,7 @@ def _evolve_master_equation(me: MasterEquation, rho0: np.ndarray,
                                 for op, r in jumps])
 
     wh = w.conj().T
-    return w @ _evolve_blocks(_blocks(pattern), block_gens, wh @ rho0 @ w,
+    return w @ _evolve_blocks(pattern, block_gens, wh @ rho0 @ w,
                               t) @ wh
 
 
@@ -487,7 +485,7 @@ def _evolve_dense(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
                   ia[:, None, None, :, None], ib[:, None, None, None, :]
                   ].reshape(len(ia), na * nb, na * nb)
 
-    return _evolve_blocks(_blocks(links), block_gens, rho0, t)
+    return _evolve_blocks(links, block_gens, rho0, t)
 
 
 def _check_generator(gen: np.ndarray, d: int, nz) -> None:
@@ -542,19 +540,18 @@ def propagate(model: DissipativeCoupling | MasterEquation | np.ndarray,
     eigenbasis of ``A`` and ``B`` (its full generator, coherent term
     included).  A :class:`MasterEquation` and a dense row-vectorized
     generator ``gen`` are evolved over the exact invariant blocks
-    ``rho[I_a, I_b]`` of the generator, the occupied pairs of one block
-    shape exponentiated together (:func:`_evolve_blocks`).  The
-    model is first rotated over its leading factors into the joint
-    eigenbasis of their parts when they commute
-    (:func:`_leading_eigenbasis`), and its blocks are built from the
-    operator blocks, all occupied pairs of one block shape in one batched
-    assembly (the d²×d² generator is never formed).  ``gen``'s blocks are
-    sliced out of it by its nonzero pattern, read in one scan that also
-    serves the Hermiticity check.  Each model is checked for Hermiticity
-    preservation once, before any block is evolved: a non-Hermitian
-    Hamiltonian, or a ``gen`` that fails :func:`_check_generator`, raises
-    :class:`ValidationError` at every ``t``.  The complex ``expm`` of the
-    generator is the test oracle for every route.
+    ``rho[I_a, I_b]`` of the generator (:func:`_evolve_blocks`).  A
+    :class:`MasterEquation` is first rotated over its leading factors into
+    the joint eigenbasis of their parts when they commute
+    (:func:`_leading_eigenbasis`), and its block generators are assembled
+    from the operator blocks (the d²×d² generator is never formed).
+    ``gen``'s blocks are sliced out of it by its nonzero pattern, read in
+    one scan that also serves the Hermiticity check.  Each model is checked
+    for Hermiticity preservation once, before any block is evolved: a
+    non-Hermitian Hamiltonian, or a ``gen`` that fails
+    :func:`_check_generator`, raises :class:`ValidationError` at every
+    ``t``.  The complex ``expm`` of the generator is the test oracle for
+    every route.
 
     ``rho0`` must be Hermitian (:class:`NotHermitian` otherwise) with no
     eigenvalue below ``-POSITIVITY_TOL`` (:class:`NotDensityMatrix`

@@ -161,14 +161,13 @@ def herm_eig(op: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(lams, projs)
 
 
-#: Coefficients b_0 … b_9 of the [9/9] Padé approximant to ``exp`` (Higham,
-#: SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  Its backward error stays
-#: below unit roundoff for 1-norms up to θ9 ≈ 2.098.
-_PADE9 = (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-          30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)
-#: Rows ``(b_3, b_5, b_7, b_9)`` and ``(b_2, b_4, b_6, b_8)``: the weights of
-#: ``(a², a⁴, a⁶, a⁸)`` in the odd part's factor and in the even part.
-_PADE9_SUMS = np.array([_PADE9[3::2], _PADE9[2:9:2]])
+#: Taylor coefficients ``1/k!`` of ``exp``, k = 0 … 24.
+_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(25)])
+#: ``(m, θ_m, p)``: the degree-m Taylor polynomial's backward error is below
+#: unit roundoff up to 1-norm θ_m (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+#: 488 (2011); rounded down), and p | m its Paterson–Stockmeyer chunk length.
+_TAYLOR_DEGREES = ((8, 0.0499, 4), (12, 0.2996, 4), (18, 1.0908, 6),
+                   (24, 2.219, 6))
 
 
 def expm(op: np.ndarray, scale: complex = 1.0, *,
@@ -179,11 +178,15 @@ def expm(op: np.ndarray, scale: complex = 1.0, *,
     An exactly Hermitian ``op`` with a purely imaginary ``scale`` is
     exponentiated in its eigenbasis, ``V diag(exp(scale w)) Vᴴ``, which is
     unitary to rounding at any ``scale``.  Any other argument goes through
-    scaling and squaring: the stack is halved ``s`` times, the fewest that
-    bring its largest 1-norm to at most 2, the [9/9] Padé approximant is
-    taken of every member, and each is squared ``s`` times.  A real ``op``
-    with a real ``scale`` stays real, which makes the products about four
-    times cheaper than complex ones.
+    scaling and squaring with no linear solve.  The Taylor degree m is the
+    smallest of :data:`_TAYLOR_DEGREES` whose θ_m covers the stack's largest
+    1-norm; past θ_24 the stack is halved ``s`` times, the fewest that bring
+    that norm to θ_24 or below.  The polynomial is evaluated by
+    Paterson–Stockmeyer in 4, 5, 7 or 8 products (the powers ``a … aᵖ``,
+    every chunk sum in one coefficient product, Horner steps in ``aᵖ``),
+    and each member is squared ``s`` times.  A real ``op`` with a real
+    ``scale`` stays real, which makes the products about four times cheaper
+    than complex ones.
 
     ``conserved`` is a nonzero real row ``c``.  If every member's ``c @
     op`` is zero to 1e-14 of its argument's 1-norm (``c`` the trace row of
@@ -205,24 +208,24 @@ def expm(op: np.ndarray, scale: complex = 1.0, *,
     a = scale * op
     norms = np.abs(a).sum(axis=-2).max(axis=-1)
     top = norms.max(initial=0.0)
-    s = math.ceil(math.log2(top / 2.0)) if 2.0 < top < np.inf else 0
+    m, theta, p = next((row for row in _TAYLOR_DEGREES if top <= row[1]),
+                       _TAYLOR_DEGREES[-1])
+    s = math.ceil(math.log2(top / theta)) if theta < top < np.inf else 0
     pin = (conserved is not None and s > 0
            and (np.abs(conserved @ a).max(axis=-1) <= 1e-14 * norms).all())
-    if s:
-        a = a * 0.5 ** s
-    # a², a⁴, a⁶, a⁸ in one buffer, so each Padé sum is one product
-    pw = np.empty((4,) + a.shape, dtype=a.dtype)
-    np.matmul(a, a, out=pw[0])
-    for k in (1, 2, 3):
+    # a, a², …, aᵖ in one buffer, so the chunk sums are one product
+    pw = np.empty((p,) + a.shape, dtype=a.dtype)
+    np.multiply(a, 0.5 ** s, out=pw[0])
+    for k in range(1, p):
         np.matmul(pw[k - 1], pw[0], out=pw[k])
-    flat = pw.reshape(4, -1)
-    u, v = (_PADE9_SUMS @ (flat.view(float) if a.dtype.kind == "c" else flat)
-            ).view(a.dtype).reshape((2,) + a.shape)
-    n = a.shape[-1]
-    u.reshape(-1, n * n)[:, ::n + 1] += _PADE9[1]
-    v.reshape(-1, n * n)[:, ::n + 1] += _PADE9[0]
-    u = a @ u
-    e = np.linalg.solve(v - u, v + u)
+    flat = pw.reshape(p, -1)
+    chunks = (_TAYLOR[1:m + 1].reshape(-1, p)
+              @ (flat.view(float) if a.dtype.kind == "c" else flat)
+              ).view(a.dtype).reshape((m // p,) + a.shape)
+    e = chunks[-1]
+    for c in chunks[-2::-1]:
+        e = c + pw[-1] @ e
+    e += np.eye(a.shape[-1])
     if pin:
         j = np.flatnonzero(conserved)[0]
         w = conserved / conserved[j]

@@ -200,6 +200,17 @@ def test_rotated_frame_requires_pulse_and_no_coherent_term():
         bounds.rotated_frame_marginal(task)
 
 
+@pytest.mark.parametrize("substeps", [0, -3, 2.5, True, "200", None])
+def test_rotated_frame_rejects_bad_substeps(substeps):
+    c = make_coupling(gamma=20.0, eta=0.8, A=SZ, B=SX)
+    pulse = liouville.ControlPulse(segments=((1.0, (1.0,)),),
+                                   hamiltonians=(SX,))
+    task = bounds.make_gate_task(c, np.array([1.0, 0.0]), 1.0, pulse=pulse)
+    with pytest.raises(ValidationError, match="substeps"):
+        bounds.rotated_frame_marginal(task, substeps=substeps)
+    bounds.rotated_frame_marginal(task, substeps=np.int64(3))
+
+
 def test_rotated_frame_matches_lab_frame():
     """Propagating with the pulse-rotated jump operator and undoing the
     frame reproduces the lab-frame S2 marginal."""
@@ -244,3 +255,6 @@ def test_rotated_frame_matches_loop_oracle(d2, n_seg):
     want_rho2, want_v = rotated_frame_loop(task)
     assert np.max(np.abs(rho2 - want_rho2)) <= 1e-12
     assert np.max(np.abs(v - want_v)) <= 1e-12
+    # the marginal owns its d2×d2 data; a view would keep the checked
+    # stack of every substep's state alive with it
+    assert rho2.base is None or rho2.base.nbytes == rho2.nbytes

@@ -29,6 +29,23 @@ def test_mode_and_params_validation():
         dataclasses.replace(working_point(), Omega=(1.0, -2.0, 0.5))
 
 
+@pytest.mark.parametrize("field", [
+    "E_J", "phi_ext", "phi0", "phi_z0", "alpha_x", "alpha_y", "lambda_1z",
+    "lambda_2z", "lambda_3z", "omega_z", "Omega", "phi"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_circuit_parameters_must_be_finite(field, value):
+    params = working_point()
+    with pytest.raises(ValidationError, match=field):
+        if field == "omega_z":
+            dataclasses.replace(params.mode, omega_z=value)
+        elif field == "Omega":
+            dataclasses.replace(params, Omega=(5.0, value, 4.0))
+        elif field == "phi":
+            circuit.nonreciprocity_conditions(params, value)
+        else:
+            dataclasses.replace(params, **{field: value})
+
+
 def test_dispersive_ratio_warning():
     with pytest.warns(UserWarning):
         dataclasses.replace(working_point(), lambda_1z=0.35)

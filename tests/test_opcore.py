@@ -1,3 +1,7 @@
+import json
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -97,6 +101,64 @@ def test_stacked_expm_matches_scipy(stack):
         want = scipy.linalg.expm(g.astype(complex))
         assert np.abs(got - want).max() <= 1e-10
     npt.assert_array_equal(opcore.expm(stack[:1])[0], opcore.expm(stack[0]))
+
+
+def test_taylor_degree_table_is_within_unit_roundoff():
+    # θ_m: the largest x with Σ_{k>m} |c_k| x^(k−1) ≤ 2⁻⁵³, c_k the series
+    # coefficients of log(e^(−x) T_m(x)) (the relative backward error of the
+    # degree-m Taylor polynomial T_m), from the recurrence of log f for f =
+    # T_m: n g_n = n f_n − Σ_{k<n} k g_k f_{n−k}
+    u = mpmath.mpf(2) ** -53
+    with mpmath.workdps(40):
+        for m, theta, p in opcore._TAYLOR_DEGREES:
+            assert m % p == 0
+            n_terms = m + 150
+            f = [1 / mpmath.factorial(k) if k <= m else 0
+                 for k in range(n_terms + 1)]
+            g = [mpmath.mpf(0)] * (n_terms + 1)
+            for n in range(1, n_terms + 1):
+                g[n] = (n * f[n] - mpmath.fsum(
+                    k * g[k] * f[n - k] for k in range(max(1, n - m), n))) / n
+            assert max(abs(c) for c in g[2:m + 1]) < u ** 2
+
+            def backward_error(x):
+                return mpmath.fsum(abs(g[k]) * x ** (k - 1)
+                                   for k in range(m + 1, n_terms + 1))
+
+            lo, hi = mpmath.mpf(0), mpmath.mpf(4)
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if backward_error(mid) <= u else (lo, mid)
+            assert theta <= lo
+    npt.assert_array_equal(opcore._TAYLOR[[0, 1, 4]], [1.0, 1.0, 1 / 24])
+
+
+def test_expm_matches_stored_mpmath_references():
+    # benchmarks/expm_references.py writes the 40-digit references and the
+    # [9/9] Padé kernel's error on each case.  The Taylor kernel may not err
+    # more than that, up to a rounding floor of 4u‖E‖₁ (on the pinned case
+    # both err 3.9e-11, the steady state's conditioning, and differ by 1e-15)
+    data = json.loads((Path(__file__).parent / "expm_references.json"
+                       ).read_text(encoding="utf-8"))
+    assert len(data["cases"]) == 7
+    with mpmath.workdps(data["digits"]):
+        for case in data["cases"]:
+            a = np.array(case["a"])
+            ref = mpmath.matrix(case["ref"])
+            if "a_imag" in case:
+                a = a + 1j * np.array(case["a_imag"])
+                ref += mpmath.j * mpmath.matrix(case["ref_imag"])
+            conserved = case.get("conserved")
+            got = opcore.expm(a, conserved=None if conserved is None
+                              else np.array(conserved))
+            assert (got.dtype.kind == "c") == ("a_imag" in case)
+            n = len(a)
+            err = max(mpmath.fsum(abs(ref[i, j] - complex(got[i, j]))
+                                  for i in range(n)) for j in range(n))
+            norm = max(mpmath.fsum(abs(ref[i, j]) for i in range(n))
+                       for j in range(n))
+            assert err <= case["parent_err"] + 4 * 2.0 ** -53 * norm, \
+                case["name"]
 
 
 @pytest.mark.parametrize("d", [2, 3, 8])
