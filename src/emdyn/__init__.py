@@ -15,21 +15,19 @@ from .errors import (BadEigenindex, BadFactorIndex, DegenerateFit,
                      RequiresNoPulse, TruncationTooSmall, ValidationError,
                      ZeroPrimaryCoupling)
 from .opcore import (HilbertSpace, SpectralDecomposition, dissipator_superop,
-                     expm, herm_eig, hs_inner, partial_trace, tensor,
-                     trace_distance, unvec, vec)
+                     expm, herm_eig, partial_trace, tensor, trace_distance,
+                     unvec, vec)
 from .liouville import (ControlPulse, DissipativeCoupling, MasterEquation,
                         propagate, propagate_controlled, reduced_s2_generator)
 from .emergent import (UnitaryMixture, apply_mixture, equivalence_gap,
-                       fit_power_law, gamma_scaling_fit,
-                       nonreciprocity_report, scaling_exponent,
+                       fit_power_law, nonreciprocity_report, scaling_exponent,
                        strong_damping_map)
 from .control import (LieBasis, controllability_delta,
                       dissipation_induced_drift, is_fully_controllable,
                       lie_closure)
-from .bounds import (GateTask, drift_coefficient, empirical_error,
-                     error_upper_bound, exact_error_commuting,
-                     gamma_threshold, make_gate_task, rotated_frame_marginal,
-                     s1_eigenstate)
+from .bounds import (GateTask, empirical_error, error_upper_bound,
+                     exact_error_commuting, gamma_threshold, make_gate_task,
+                     rotated_frame_marginal, s1_eigenstate)
 from .circuit import (BosonicMode, CircuitParams, EffectiveCoupling,
                       SystemBathParams, ToneSet, adiabatic_eliminate,
                       build_jrm_effective, build_system_bath,

@@ -25,15 +25,18 @@ from . import opcore
 from .errors import RequiresNoPulse, ValidationError
 from .liouville import (ControlPulse, DissipativeCoupling, _a_eigenspace,
                         _check_pulse_dim, _checked_states, _rates, propagate,
-                        propagate_controlled)
+                        propagate_controlled, reduced_s2_generator)
 from .opcore import herm_eig, partial_trace, tensor
 
 __all__ = [
     "GateTask", "make_gate_task",
     "exact_error_commuting", "gamma_threshold", "error_upper_bound",
-    "empirical_error", "drift_coefficient", "s1_eigenstate",
-    "rotated_frame_marginal",
+    "empirical_error", "s1_eigenstate", "rotated_frame_marginal",
+    "check_margin", "DEFAULT_MARGIN",
 ]
+
+#: Margin of :func:`gamma_threshold` when none is given.
+DEFAULT_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -72,12 +75,6 @@ class GateTask:
                     f"pulse duration {total} != task duration {self.t}")
 
 
-def drift_coefficient(task: GateTask) -> float:
-    """``lam_a (g + eta sin phi)`` for the task's chosen eigenspace of A."""
-    return task.coupling.drift(_a_eigenspace(task.coupling,
-                                             task.a_eigenindex)[0])
-
-
 def s1_eigenstate(c: DissipativeCoupling, a_eigenindex: int = -1) -> np.ndarray:
     """A deterministic unit vector in the chosen merged eigenspace of A."""
     p = _a_eigenspace(c, a_eigenindex)[1]
@@ -104,7 +101,7 @@ def make_gate_task(coupling: DissipativeCoupling, psi0: np.ndarray, t: float,
         raise ValidationError(f"psi0 must be finite and nonzero, norm {norm}")
     psi0 = psi0 / norm
     checked = GateTask(psi0, psi0, t, coupling, pulse, a_eigenindex)
-    coeff = coupling.drift(_a_eigenspace(coupling, a_eigenindex)[0])
+    coeff = reduced_s2_generator(coupling, a_eigenindex)[0]
     if pulse is None:
         u = opcore.expm(coupling.B, -1j * t * coeff)
     else:
@@ -140,12 +137,22 @@ def exact_error_commuting(task: GateTask) -> float:
         task.t * _rates(c.jump(0.0, dec.eigenvalues)).real) @ w)
 
 
-def gamma_threshold(task: GateTask, margin: float = 100.0) -> float:
+def check_margin(margin: float) -> float:
+    """The threshold margin must be a positive finite number."""
+    if not (np.isfinite(margin) and margin > 0):
+        raise ValidationError(
+            f"margin must be positive and finite, got {margin}")
+    return float(margin)
+
+
+def gamma_threshold(task: GateTask, margin: float = DEFAULT_MARGIN) -> float:
     """Damping rate above which the dissipative error is margin-suppressed.
 
     ``margin * eta^2 * (t/2) * max_{n != m} (lam_n − lam_m)^2`` over the
     merged spectrum of ``B``; zero when the spectrum has a single value.
+    ``margin`` must pass :func:`check_margin`.
     """
+    margin = check_margin(margin)
     c = task.coupling
     lam = herm_eig(c.B).eigenvalues
     max_gap = float(lam[-1] - lam[0])   # ascending spectrum

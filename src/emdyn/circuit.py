@@ -33,6 +33,13 @@ _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _DISPERSIVE_LIMIT = 0.3
 
 
+def _check_n_max(n_max) -> None:
+    """A Fock cutoff is an integer (a NumPy one too, but no ``bool``) >= 2."""
+    if (isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer))
+            or n_max < 2):
+        raise ValidationError(f"n_max must be an integer >= 2, got {n_max!r}")
+
+
 @dataclass(frozen=True)
 class BosonicMode:
     """Truncated damped mode: Fock cutoff, frequency, damping rate."""
@@ -42,8 +49,7 @@ class BosonicMode:
     gamma_z: float
 
     def __post_init__(self):
-        if self.n_max < 2:
-            raise ValidationError(f"n_max must be >= 2, got {self.n_max}")
+        _check_n_max(self.n_max)
         if not 0 < self.gamma_z < np.inf:
             raise ValidationError(f"gamma_z must be > 0, got {self.gamma_z}")
         if not -np.inf < self.omega_z < np.inf:
@@ -141,10 +147,13 @@ class SystemBathParams:
     n_max: int = 6
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2"):
+            if not -np.inf < getattr(self, name) < np.inf:
+                raise ValidationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.gamma_a < np.inf:
             raise ValidationError(f"gamma_a must be > 0, got {self.gamma_a}")
-        if self.n_max < 2:
-            raise ValidationError("n_max must be >= 2")
+        _check_n_max(self.n_max)
 
 
 # --------------------------------------------------------------------------
@@ -421,15 +430,12 @@ def strong_damping_condition(params: CircuitParams,
                              threshold: float = 1e-2) -> tuple[float, bool]:
     """Smallness parameter of the strong-damping hierarchy, and its verdict.
 
-    Value: ``gamma_eff (lambda_2z^2 lambda_3z^2 / lambda_1z^2)
-    (phi_z0^2 / 4 phi0^2)`` — this is the S2-side residual dissipation rate
-    ``eta^2/gamma``, which must stay small against the coherent scales.
+    Value: ``gamma_eff (eta/gamma)^2`` of :func:`effective_coupling_constants`
+    — the S2-side residual dissipation rate ``eta^2/gamma``, which must stay
+    small against the coherent scales.
     """
     ec = effective_coupling_constants(params)
-    value = (ec.gamma_eff
-             * (params.lambda_2z ** 2 * params.lambda_3z ** 2
-                / params.lambda_1z ** 2)
-             * params.phi_z0 ** 2 / (4 * params.phi0 ** 2))
+    value = ec.gamma_eff * ec.eta_over_gamma ** 2
     return float(value), bool(value < threshold)
 
 

@@ -6,7 +6,8 @@ Usage::
 
 Tasks: simulate, equivalence, controllability, bounds, circuit-validate,
 tones.  Each run writes ``results.csv``, ``report.json`` and a
-``manifest.json`` (input hash, seed, library versions, output hashes) into
+``manifest.json`` (input hash, seed, the versions of emdyn, NumPy, PyYAML
+and Python, output hashes) into
 the output directory.  Given the same scenario and seed, outputs are
 byte-identical across runs.  Exit codes: 0 success, 2 parse or validation
 error, 3 numerical failure.
@@ -19,15 +20,15 @@ import dataclasses
 import hashlib
 import json
 import sys
-from functools import cache
-from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from . import __version__, bounds, circuit, control, emergent, liouville
+from .bounds import DEFAULT_MARGIN, check_margin
 from .errors import DegenerateFit, EmdynError, NumericalError, ValidationError
-from .scenario import VALID_TASKS, Scenario, check_margin, parse_scenario
+from .scenario import VALID_TASKS, Scenario, emit_scenario, parse_scenario
 
 __all__ = ["main", "run"]
 
@@ -54,12 +55,6 @@ def _write_json(path: Path, obj) -> None:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-@cache
-def _scipy_version() -> str:
-    """From SciPy's metadata (emdyn never imports it), once per process."""
-    return version("scipy")
 
 
 def _marginal_purities(rho: np.ndarray, dims) -> tuple[float, float]:
@@ -218,7 +213,7 @@ def run(scenario: Scenario, out_dir, seed: int | None = None,
         margin: float | None = None, scenario_bytes: bytes | None = None) -> int:
     """Execute a parsed scenario and write artifacts into ``out_dir``."""
     if margin is None:
-        margin = float(scenario.margin) if scenario.margin is not None else 100.0
+        margin = DEFAULT_MARGIN if scenario.margin is None else scenario.margin
     margin = check_margin(margin)
     if seed is None:
         seed = scenario.seed
@@ -232,7 +227,7 @@ def run(scenario: Scenario, out_dir, seed: int | None = None,
     _write_csv(csv_path, header, rows)
     _write_json(json_path, report)
     if scenario_bytes is None:
-        scenario_bytes = scenario.emit().encode("utf-8")
+        scenario_bytes = emit_scenario(scenario).encode("utf-8")
     manifest = {
         "scenario_sha256": hashlib.sha256(scenario_bytes).hexdigest(),
         "task": scenario.task,
@@ -240,7 +235,7 @@ def run(scenario: Scenario, out_dir, seed: int | None = None,
         "versions": {
             "emdyn": __version__,
             "numpy": np.__version__,
-            "scipy": _scipy_version(),
+            "pyyaml": yaml.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
         "outputs": {

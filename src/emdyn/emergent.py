@@ -17,7 +17,7 @@ from .opcore import (herm_eig, partial_trace, tensor, trace_distance)
 
 __all__ = [
     "UnitaryMixture", "strong_damping_map", "apply_mixture",
-    "equivalence_gap", "gamma_scaling_fit", "fit_power_law",
+    "equivalence_gap", "fit_power_law",
     "scaling_exponent", "nonreciprocity_report",
 ]
 
@@ -115,49 +115,22 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), float(np.exp(intercept))
 
 
-def gamma_scaling_fit(c_template: DissipativeCoupling, gammas, t: float,
-                      rho1: np.ndarray | None = None,
-                      rho2: np.ndarray | None = None
-                      ) -> tuple[float, np.ndarray]:
-    """Fit the power law of :func:`equivalence_gap` against gamma.
-
-    Needs at least four gamma values spanning two decades.  States default to
-    the first basis state on each side.  Returns ``(exponent, gaps)`` with
-    the gaps ordered by ascending gamma; the expected exponent is close
-    to −1.
-    """
-    gammas = np.asarray(sorted(float(g) for g in gammas))
-    _check_sweep(gammas)
-    if rho1 is None:
-        rho1 = np.zeros((c_template.d1, c_template.d1), dtype=complex)
-        rho1[0, 0] = 1.0
-    if rho2 is None:
-        rho2 = np.zeros((c_template.d2, c_template.d2), dtype=complex)
-        rho2[0, 0] = 1.0
-    gaps = np.array([
-        equivalence_gap(dataclasses.replace(c_template, gamma=g), rho1, rho2, t)
-        for g in gammas])
-    return scaling_exponent(gammas, gaps), gaps
-
-
-def _check_sweep(gammas: np.ndarray) -> None:
-    if len(gammas) < 4:
-        raise ValidationError("need >= 4 gamma values for a scaling fit")
-    if gammas.max() < 100 * gammas.min():
-        raise ValidationError("gamma values must span >= 2 decades")
-
-
 def scaling_exponent(gammas, gaps) -> float:
     """Power-law exponent of ``gaps`` against ``gammas``, where one exists.
 
-    The fit needs at least four gamma values spanning two decades
+    Over the :func:`equivalence_gap` gaps of a gamma sweep this is the
+    ``1/gamma`` convergence fit, with an exponent close to −1.  The fit
+    needs at least four gamma values spanning two decades
     (:class:`ValidationError` otherwise) and no gap below 1e-14
     (:class:`DegenerateFit` otherwise).  Gaps that do not vary give
     exponent 0 with a warning.
     """
     gammas = np.asarray(gammas, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
-    _check_sweep(gammas)
+    if len(gammas) < 4:
+        raise ValidationError("need >= 4 gamma values for a scaling fit")
+    if gammas.max() < 100 * gammas.min():
+        raise ValidationError("gamma values must span >= 2 decades")
     if np.any(gaps < 1e-14):
         raise DegenerateFit(
             f"gap underflow: min gap {gaps.min():.3e} below 1e-14")

@@ -181,12 +181,16 @@ class MasterEquation:
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.shape != (d, d):
             raise DimMismatch(f"Hamiltonian shape {h.shape} != ({d}, {d})")
+        if not np.isfinite(h).all():
+            raise ValidationError("Hamiltonian has non-finite entries")
         object.__setattr__(self, "hamiltonian", h)
         jumps = []
-        for op, rate in self.jumps:
+        for k, (op, rate) in enumerate(self.jumps):
             op = np.asarray(op, dtype=complex)
             if op.shape != (d, d):
                 raise DimMismatch(f"jump shape {op.shape} != ({d}, {d})")
+            if not np.isfinite(op).all():
+                raise ValidationError(f"jump {k} has non-finite entries")
             if not 0 <= rate < np.inf:
                 raise ValidationError(f"jump rate must be >= 0, got {rate}")
             jumps.append((op, float(rate)))

@@ -29,7 +29,7 @@ __all__ = [
     "tensor", "herm_eig", "expm", "partial_trace",
     "vec", "unvec",
     "dissipator_superop",
-    "hs_inner", "trace_distance", "frob_norm",
+    "trace_distance",
     "is_hermitian", "check_hermitian", "check_density",
     "POSITIVITY_TOL", "DEGENERACY_RTOL",
 ]
@@ -59,10 +59,6 @@ class HilbertSpace:
     def total_dim(self) -> int:
         return int(np.prod(self.factor_dims))
 
-    @property
-    def n_factors(self) -> int:
-        return len(self.factor_dims)
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -70,7 +66,7 @@ class SpectralDecomposition:
 
     Degenerate eigenspaces are merged into a single projector, so the
     projectors are Hermitian, idempotent, mutually orthogonal, and sum to the
-    identity.  ``sum(lam_j * P_j)`` reconstructs the operator.
+    identity; ``sum(lam_j * P_j)`` is the operator.
     """
 
     eigenvalues: np.ndarray          # shape (k,), real, strictly ascending
@@ -78,12 +74,6 @@ class SpectralDecomposition:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for lam, p in zip(self.eigenvalues, self.projectors):
-            out = out + lam * p
-        return out
 
 
 # --------------------------------------------------------------------------
@@ -343,19 +333,6 @@ def dissipator_superop(L: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # metrics
 # --------------------------------------------------------------------------
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert–Schmidt inner product ``tr(a† b)``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))   # vdot conjugates the first argument
-
-
-def frob_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """½ ‖a − b‖₁ via singular values."""

@@ -13,12 +13,13 @@ import numpy as np
 import yaml
 
 from . import circuit as _circuit
+from .bounds import check_margin
 from .errors import NotHermitian, ParseError, ValidationError
 from .liouville import DissipativeCoupling
 from .opcore import check_density, tensor
 
 __all__ = ["Scenario", "VALID_TASKS", "parse_scenario", "load_scenario",
-           "emit_scenario", "parse_operator", "parse_state", "check_margin",
+           "emit_scenario", "parse_operator", "parse_state",
            "MAX_PAULI_FACTORS"]
 
 VALID_TASKS = ("simulate", "equivalence", "controllability", "bounds",
@@ -123,9 +124,6 @@ class Scenario:
             raise ValidationError(f"initial.psi0 must be a pure state, got "
                                   f"purity {purity:.6g}")
         return rho
-
-    def emit(self) -> str:
-        return emit_scenario(self)
 
 
 # --------------------------------------------------------------------------
@@ -443,14 +441,6 @@ def _tone_values(sec: dict) -> dict:
     if plan == "dissipative" or "omega_z" in sec:
         v["omega_z"] = _field(sec, "omega_z", "tones")
     return v
-
-
-def check_margin(margin: float) -> float:
-    """The threshold margin must be a positive finite number."""
-    if not (np.isfinite(margin) and margin > 0):
-        raise ValidationError(
-            f"margin must be positive and finite, got {margin}")
-    return float(margin)
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -60,10 +60,14 @@ def test_pulse_duration_must_match_task_time():
         bounds.make_gate_task(c, PLUS, 1.0, pulse=pulse)
 
 
+def drift(task):
+    return liouville.reduced_s2_generator(task.coupling, task.a_eigenindex)[0]
+
+
 def test_drift_coefficient_default_top_eigenvalue():
     c = make_coupling(eta=0.5, g=0.5)
     task = bounds.make_gate_task(c, PLUS, 1.0)
-    assert bounds.drift_coefficient(task) == pytest.approx(1.0, abs=1e-15)
+    assert drift(task) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("index", [2, 5, -3])
@@ -76,15 +80,14 @@ def test_out_of_range_eigenindex_raises(index):
         bounds.s1_eigenstate(c, index)
     task = bounds.GateTask(PLUS, PLUS, 1.0, c, a_eigenindex=index)
     with pytest.raises(BadEigenindex):
-        bounds.drift_coefficient(task)
+        drift(task)
 
 
 def test_negative_eigenindex_counts_from_the_top():
     c = make_coupling(eta=0.5, g=0.5)
     npt.assert_array_equal(bounds.s1_eigenstate(c, -2),
                            bounds.s1_eigenstate(c, 0))
-    assert bounds.drift_coefficient(
-        bounds.make_gate_task(c, PLUS, 1.0, a_eigenindex=-2)) == \
+    assert drift(bounds.make_gate_task(c, PLUS, 1.0, a_eigenindex=-2)) == \
         pytest.approx(-1.0, abs=1e-15)
 
 
@@ -108,6 +111,13 @@ def test_threshold_formula():
     c = make_coupling()
     task = bounds.make_gate_task(c, PLUS, 1.0)
     assert bounds.gamma_threshold(task, margin=100.0) == pytest.approx(200.0)
+
+
+@pytest.mark.parametrize("margin", [np.nan, -1.0, 0.0, np.inf])
+def test_threshold_rejects_bad_margin(margin):
+    task = bounds.make_gate_task(make_coupling(), PLUS, 1.0)
+    with pytest.raises(ValidationError, match="margin must be positive"):
+        bounds.gamma_threshold(task, margin=margin)
 
 
 def test_threshold_zero_for_scalar_spectrum():

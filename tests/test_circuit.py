@@ -25,6 +25,8 @@ def test_mode_and_params_validation():
         circuit.BosonicMode(n_max=4, omega_z=1.0, gamma_z=0.0)
     mode = circuit.BosonicMode(n_max=4, omega_z=1.0, gamma_z=1.0)
     assert mode.dim == 5
+    assert circuit.BosonicMode(np.int64(3), 1.0, 1.0).dim == 4
+    assert circuit.SystemBathParams(1.0, 0.5, 10.0, np.int32(3)).n_max == 3
     with pytest.raises(ValidationError):
         dataclasses.replace(working_point(), Omega=(1.0, -2.0, 0.5))
 
@@ -201,6 +203,21 @@ def test_validate_elimination_rejects_a_bare_jump():
     rho0 = np.kron(np.eye(2), np.eye(2)) / 4
     with pytest.raises(DimMismatch):
         circuit.validate_elimination(full, c.jump_operator(), rho0, 1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda1", np.nan), ("lambda1", np.inf), ("lambda2", -np.inf),
+    ("n_max", 2.5), ("n_max", 4.0), ("n_max", True)])
+def test_system_bath_params_reject_what_they_cannot_model(field, value):
+    args = {"lambda1": 1.0, "lambda2": 0.5, "gamma_a": 10.0, "n_max": 4,
+            field: value}
+    message = "n_max must be an integer" if field == "n_max" else \
+        f"{field} must be finite"
+    with pytest.raises(ValidationError, match=message):
+        circuit.SystemBathParams(**args)
+    if field == "n_max":
+        with pytest.raises(ValidationError, match=message):
+            circuit.BosonicMode(n_max=value, omega_z=1.0, gamma_z=1.0)
 
 
 @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -134,40 +136,46 @@ def test_fit_power_law_recovers_synthetic_exponent():
     assert abs(prefactor - 2.7) < 1e-6
 
 
+SWEEP = [10.0, 100.0, 1000.0, 10000.0]
+
+
+def gap_fit(c, gammas, t):
+    """The ``1/gamma`` fit: :func:`emergent.scaling_exponent` over the
+    :func:`emergent.equivalence_gap` gaps, from ``|0><0|`` on both sides."""
+    gaps = [emergent.equivalence_gap(dataclasses.replace(c, gamma=g),
+                                     P0, P0, t) for g in gammas]
+    return emergent.scaling_exponent(gammas, gaps), np.array(gaps)
+
+
 def test_scaling_fit_guards():
     c = make_coupling()
     with pytest.raises(ValidationError):
-        emergent.gamma_scaling_fit(c, [10.0, 20.0, 30.0], 1.0)  # too few
+        gap_fit(c, [10.0, 20.0, 30.0], 1.0)  # too few
     with pytest.raises(ValidationError):
-        emergent.gamma_scaling_fit(c, [10.0, 20.0, 40.0, 80.0], 1.0)  # < 2 dec
+        gap_fit(c, [10.0, 20.0, 40.0, 80.0], 1.0)  # < 2 dec
 
 
 def test_scaling_fit_slope_near_minus_one():
-    c = make_coupling()
-    slope, gaps = emergent.gamma_scaling_fit(
-        c, [10.0, 100.0, 1000.0, 10000.0], 1.0)
+    slope, gaps = gap_fit(make_coupling(), SWEEP, 1.0)
     assert -1.2 < slope < -0.8
     assert gaps[0] > gaps[-1]
 
 
 def test_scaling_fit_degenerate_when_channel_off():
-    c = make_coupling(eta=0.0)
     with pytest.raises(DegenerateFit):
-        emergent.gamma_scaling_fit(c, [10.0, 100.0, 1000.0, 10000.0], 1.0)
+        gap_fit(make_coupling(eta=0.0), SWEEP, 1.0)
 
 
 def test_scaling_fit_degenerate_at_zero_time():
     with pytest.raises(DegenerateFit):
-        emergent.gamma_scaling_fit(make_coupling(),
-                                   [10.0, 100.0, 1000.0, 10000.0], 0.0)
+        gap_fit(make_coupling(), SWEEP, 0.0)
 
 
 def test_scaling_fit_flat_gaps_warn(monkeypatch):
     monkeypatch.setattr(emergent, "equivalence_gap",
                         lambda *args, **kwargs: 0.25)
     with pytest.warns(UserWarning):
-        slope, gaps = emergent.gamma_scaling_fit(
-            make_coupling(), [10.0, 100.0, 1000.0, 10000.0], 1.0)
+        slope, gaps = gap_fit(make_coupling(), SWEEP, 1.0)
     assert slope == 0.0
     npt.assert_array_equal(gaps, 0.25 * np.ones(4))
 

@@ -58,6 +58,15 @@ def test_master_equation_rejects_bad_rates(rate):
         liouville.MasterEquation(SZ, ((SX, rate),), opcore.HilbertSpace((2,)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("operator", ["Hamiltonian", "jump 1"])
+def test_master_equation_rejects_non_finite_operators(operator, value):
+    h, jumps = SZ.copy(), [(SX, 1.0), (SZ.copy(), 1.0)]
+    (h if operator == "Hamiltonian" else jumps[1][0])[0, 0] = value
+    with pytest.raises(ValidationError, match=operator):
+        liouville.MasterEquation(h, tuple(jumps), opcore.HilbertSpace((2,)))
+
+
 def test_eta_at_or_above_gamma_warns():
     with pytest.warns(UserWarning):
         make_coupling(gamma=1.0, eta=2.0)

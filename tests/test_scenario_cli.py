@@ -327,6 +327,10 @@ def test_cli_equivalence_artifacts(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest) == {"scenario_sha256", "task", "seed", "versions",
                              "outputs"}
+    assert manifest["versions"] == {
+        "emdyn": emdyn.__version__, "numpy": np.__version__,
+        "pyyaml": yaml.__version__,
+        "python": ".".join(map(str, sys.version_info[:3]))}
     assert "timestamp" not in json.dumps(manifest)
 
 
@@ -577,7 +581,8 @@ def test_cli_bounds_at_large_t(tmp_path, t):
 
 def test_import_leaves_scipy_linalg_out():
     code = ("import sys, emdyn, emdyn.cli; "
-            "sys.exit('scipy.linalg' in sys.modules)")
+            "sys.exit('scipy' in sys.modules "
+            "or 'importlib.metadata' in sys.modules)")
     env = dict(os.environ,
                PYTHONPATH=str(Path(emdyn.__file__).resolve().parent.parent))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
