@@ -72,8 +72,7 @@ def real_basis_lindblad() -> tuple[np.ndarray, np.ndarray]:
         return (x + x.conj().T) / 2
 
     jumps = tuple((herm() + 1j * herm(), 1e3) for _ in range(2))
-    gen = emdyn.liouville.MasterEquation(
-        herm(), jumps, emdyn.opcore.HilbertSpace((d,))).generator()
+    gen = emdyn.liouville.MasterEquation(herm(), jumps, (d,)).generator()
     g = emdyn.liouville._real_generator(gen, d)
     return 1e6 * g / np.abs(g).sum(axis=0).max(), (np.arange(d * d) < d) * 1.0
 

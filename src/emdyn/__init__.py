@@ -14,9 +14,9 @@ from .errors import (BadEigenindex, BadFactorIndex, DegenerateFit,
                      NumericalError, NonPhysicalResult, ParseError,
                      RequiresNoPulse, TruncationTooSmall, ValidationError,
                      ZeroPrimaryCoupling)
-from .opcore import (HilbertSpace, SpectralDecomposition, dissipator_superop,
-                     expm, herm_eig, partial_trace, tensor, trace_distance,
-                     unvec, vec)
+from .opcore import (SpectralDecomposition, dissipator_superop, expm,
+                     herm_eig, partial_trace, tensor, trace_distance, unvec,
+                     vec)
 from .liouville import (ControlPulse, DissipativeCoupling, MasterEquation,
                         propagate, propagate_controlled, reduced_s2_generator)
 from .emergent import (UnitaryMixture, apply_mixture, equivalence_gap,

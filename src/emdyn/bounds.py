@@ -138,8 +138,9 @@ def exact_error_commuting(task: GateTask) -> float:
 
 
 def check_margin(margin: float) -> float:
-    """The threshold margin must be a positive finite number."""
-    if not (np.isfinite(margin) and margin > 0):
+    """The threshold margin must be a positive finite number, not a bool."""
+    if isinstance(margin, (bool, np.bool_)) or not (np.isfinite(margin)
+                                                     and margin > 0):
         raise ValidationError(
             f"margin must be positive and finite, got {margin}")
     return float(margin)

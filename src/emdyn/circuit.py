@@ -15,9 +15,10 @@ import numpy as np
 
 from . import opcore
 from .errors import (DispersiveViolation, NegativeToneFrequency,
-                     TruncationTooSmall, ValidationError, ZeroPrimaryCoupling)
+                     NumericalError, TruncationTooSmall, ValidationError,
+                     ZeroPrimaryCoupling)
 from .liouville import DissipativeCoupling, MasterEquation, propagate
-from .opcore import HilbertSpace, partial_trace, tensor, trace_distance
+from .opcore import partial_trace, tensor, trace_distance
 
 __all__ = [
     "BosonicMode", "CircuitParams", "EffectiveCoupling", "ToneSet",
@@ -222,13 +223,12 @@ def build_system_bath(params: SystemBathParams, A: np.ndarray, B: np.ndarray,
             f"driven occupation estimate {occ:.2f} exceeds n_max/2 = "
             f"{params.n_max / 2}")
     d1, d2 = A.shape[0], B.shape[0]
-    dm = params.n_max + 1
     a = lowering(params.n_max)
     h = (params.lambda1 * tensor([A, np.eye(d2), quadrature(a, phi1)])
          + params.lambda2 * tensor([np.eye(d1), B, quadrature(a, phi2)]))
     jump = tensor([np.eye(d1), np.eye(d2), a])
     return MasterEquation(h, ((jump, params.gamma_a),),
-                          HilbertSpace((d1, d2, dm)))
+                          (d1, d2, params.n_max + 1))
 
 
 def validate_elimination(full: MasterEquation, eliminated, rho0: np.ndarray,
@@ -244,15 +244,14 @@ def validate_elimination(full: MasterEquation, eliminated, rho0: np.ndarray,
     (as for the couplings ``A ⊗ 1`` and ``1 ⊗ B`` of
     :func:`build_system_bath`), one block per system matrix element.
     """
-    dims = full.space.factor_dims
-    sys_dims = dims[:-1]
+    *sys_dims, dm = full.dims
     d_sys = int(np.prod(sys_dims))
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d_sys, d_sys):
         raise ValidationError(
             f"rho0 shape {rho0.shape} does not match system dims {sys_dims}")
-    rho_full = propagate(full, tensor([rho0, fock_vacuum(dims[-1])]), t)
-    sys_marginal = partial_trace(rho_full, dims, range(len(sys_dims)))
+    rho_full = propagate(full, tensor([rho0, fock_vacuum(dm)]), t)
+    sys_marginal = partial_trace(rho_full, full.dims, range(len(sys_dims)))
     return trace_distance(sys_marginal, propagate(eliminated, rho0, t))
 
 
@@ -267,29 +266,40 @@ def effective_coupling_constants(params: CircuitParams) -> EffectiveCoupling:
     flux bias is normally ``pi/4 * phi0``, making the sine 1/sqrt(2)),
     ``beta = lambda_2z lambda_3z phi_z0 / (2 phi0)``,
     ``gamma_eff = Lambda^2 lambda_1z^2 / (4 gamma_z)`` and
-    ``eta/gamma = beta / lambda_1z``.
+    ``eta/gamma = beta / lambda_1z``.  ``lambda_1z == 0`` raises
+    :class:`ZeroPrimaryCoupling`, a constant that overflows
+    :class:`NumericalError`.
     """
-    lam = params.E_J * params.alpha_x * params.alpha_y \
-        * np.sin(params.phi_ext / params.phi0) \
-        * params.phi_z0 ** 2 / (4 * params.phi0 ** 2)
-    beta = params.lambda_2z * params.lambda_3z * params.phi_z0 / (2 * params.phi0)
-    gamma_eff = (lam * params.lambda_1z) ** 2 / (4 * params.mode.gamma_z)
-    return EffectiveCoupling(float(lam), float(beta), float(gamma_eff),
-                             float(beta / params.lambda_1z))
+    if params.lambda_1z == 0:
+        raise ZeroPrimaryCoupling("lambda_1z must be nonzero")
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        lam = params.E_J * params.alpha_x * params.alpha_y \
+            * np.sin(params.phi_ext / params.phi0) \
+            * params.phi_z0 ** 2 / (4 * params.phi0 ** 2)
+        beta = params.lambda_2z * params.lambda_3z * params.phi_z0 \
+            / (2 * params.phi0)
+        gamma_eff = (lam * params.lambda_1z) ** 2 / (4 * params.mode.gamma_z)
+        ec = EffectiveCoupling(float(lam), float(beta), float(gamma_eff),
+                               float(beta / params.lambda_1z))
+    if not np.isfinite(list(vars(ec).values())).all():
+        raise NumericalError(f"{ec} is not finite")
+    return ec
 
 
 def _y_tones(Omega, phi_y) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Both plans' y tones: the frequencies ``Omega1``, ``Omega2 + Omega3``
-    and ``Omega2 − Omega3``, and their phases ``phi_y``, checked."""
-    w1, w2, w3 = (float(w) for w in Omega)
+    and ``Omega2 − Omega3``, and their phases ``phi_y``, checked: each is
+    three finite numbers (:class:`ValidationError`)."""
+    checked = [tuple(float(v) for v in x) for x in (Omega, phi_y)]
+    for name, v in zip(("Omega", "phi_y"), checked):
+        if len(v) != 3 or not np.isfinite(v).all():
+            raise ValidationError(f"{name} must be 3 finite numbers, got {v}")
+    (w1, w2, w3), phi_y = checked
     if min(w1, w2, w3) <= 0:
         raise ValidationError(f"Omega must be positive, got {Omega}")
     if w2 <= w3:
         raise NegativeToneFrequency(
             f"difference tone Omega2 − Omega3 = {w2 - w3} is not positive")
-    phi_y = tuple(float(p) for p in phi_y)
-    if len(phi_y) != 3:
-        raise ValidationError("need one phase per y tone")
     return (w1, w2 + w3, w2 - w3), phi_y
 
 
@@ -302,8 +312,12 @@ def plan_dissipative_tones(Omega, omega_z: float, phi_x1: float, phi_y,
     ``omega_z ± {those}``.  Per-channel phases come out as
     ``phi_y[m] ± phi_x1``; with ``phi_x1 = 0`` sum and difference phases
     coincide, which is what the effective-model builder requires.
+    ``omega_z`` and ``phi_x1`` must be finite (:class:`ValidationError`).
     """
     y_freqs, phi_y = _y_tones(Omega, phi_y)
+    if not np.isfinite([omega_z, phi_x1]).all():
+        raise ValidationError(f"omega_z and phi_x1 must be finite, got "
+                              f"{omega_z} and {phi_x1}")
     derived = []
     for f in y_freqs:
         for sign in (+1.0, -1.0):
@@ -399,7 +413,10 @@ def build_jrm_effective(params: CircuitParams, tones: ToneSet,
     """Post-rotating-wave system-bath model on three qubits ⊗ damped mode.
 
     ``H = −(Lambda/4)(lambda_1z X_{phi1} sx_1 + beta X_{phi2} sx_2 sx_3)``
-    with damping ``gamma_z D[a]``.  Eliminating the mode reproduces the
+    with damping ``gamma_z D[a]``, built (and Fock-cutoff checked) by
+    :func:`build_system_bath` with ``A = sx_1``, ``B = sx_2 sx_3``,
+    ``lambda1 = −Lambda lambda_1z/4``, ``lambda2 = −Lambda beta/4``, on
+    the factors ``(2, 2, 2, n_max + 1)``.  Eliminating the mode reproduces the
     non-local jump with prefactor ``Lambda lambda_1z / (2 sqrt(gamma_z))``.
     Optionally adds the coherent three-body term (used at the
     nonreciprocity balance point).
@@ -411,24 +428,19 @@ def build_jrm_effective(params: CircuitParams, tones: ToneSet,
         raise ValidationError("builder expects the damped-mode tone plan")
     phi1, phi2 = _reduced_phases(tones)
     ec = effective_coupling_constants(params)
-    dm = params.mode.dim
-    a = lowering(params.mode.n_max)
-    eye2 = np.eye(2)
-    sx1 = tensor([_SX, eye2, eye2])
-    sxx23 = tensor([eye2, _SX, _SX])
-    h = -(ec.Lambda / 4) * (
-        params.lambda_1z * tensor([sx1, quadrature(a, phi1)])
-        + ec.beta * tensor([sxx23, quadrature(a, phi2)]))
+    mode = params.mode
+    bath = SystemBathParams(-ec.Lambda * params.lambda_1z / 4,
+                            -ec.Lambda * ec.beta / 4, mode.gamma_z, mode.n_max)
+    me = build_system_bath(bath, _SX, tensor([_SX, _SX]), (phi1, phi2))
+    h = me.hamiltonian
     if include_three_body:
-        h = h + tensor([coherent_three_body(params), np.eye(dm)])
-    jump = tensor([np.eye(8), a])
-    return MasterEquation(h, ((jump, params.mode.gamma_z),),
-                          HilbertSpace((2, 2, 2, dm)))
+        h = h + tensor([coherent_three_body(params), np.eye(mode.dim)])
+    return MasterEquation(h, me.jumps, (2, 2, 2, mode.dim))
 
 
-def strong_damping_condition(params: CircuitParams,
-                             threshold: float = 1e-2) -> tuple[float, bool]:
-    """Smallness parameter of the strong-damping hierarchy, and its verdict.
+def strong_damping_condition(params: CircuitParams) -> tuple[float, bool]:
+    """Smallness parameter of the strong-damping hierarchy, and whether it
+    is below 1e-2.
 
     Value: ``gamma_eff (eta/gamma)^2`` of :func:`effective_coupling_constants`
     — the S2-side residual dissipation rate ``eta^2/gamma``, which must stay
@@ -436,7 +448,7 @@ def strong_damping_condition(params: CircuitParams,
     """
     ec = effective_coupling_constants(params)
     value = ec.gamma_eff * ec.eta_over_gamma ** 2
-    return float(value), bool(value < threshold)
+    return float(value), bool(value < 1e-2)
 
 
 def nonreciprocity_conditions(params: CircuitParams,
@@ -463,17 +475,14 @@ def nonreciprocity_conditions(params: CircuitParams,
     return True, "S1->S2" if plus else "S2->S1"
 
 
-def coherent_three_body(params: CircuitParams,
-                        theta: float = np.pi) -> np.ndarray:
-    """Three-body interaction ``−(lam/4) cos(theta) sx_1 sx_2 sx_3`` with
+def coherent_three_body(params: CircuitParams) -> np.ndarray:
+    """Three-body interaction ``−(lam/4) cos(theta) sx_1 sx_2 sx_3`` at the
+    working phase ``theta = pi``, that is ``+(lam/4) sx_1 sx_2 sx_3``, with
     ``lam = Lambda lambda_1z beta``.
 
-    At the working phase choice ``theta = pi`` the prefactor is ``+lam/4``;
-    all phases zero flips the sign.  The coupling is third order in the
-    dispersive ratios (one power of ``lambda_1z`` beyond the dissipative
-    channel's ``beta``).
+    The coupling is third order in the dispersive ratios (one power of
+    ``lambda_1z`` beyond the dissipative channel's ``beta``).
     """
     ec = effective_coupling_constants(params)
     lam = ec.Lambda * params.lambda_1z * ec.beta
-    prefactor = -(lam / 4) * np.cos(theta)
-    return prefactor * tensor([_SX, _SX, _SX])
+    return (lam / 4) * tensor([_SX, _SX, _SX])

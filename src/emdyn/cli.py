@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ import yaml
 from . import __version__, bounds, circuit, control, emergent, liouville
 from .bounds import DEFAULT_MARGIN, check_margin
 from .errors import DegenerateFit, EmdynError, NumericalError, ValidationError
-from .scenario import VALID_TASKS, Scenario, emit_scenario, parse_scenario
+from .scenario import VALID_TASKS, Scenario, parse_scenario
 
 __all__ = ["main", "run"]
 
@@ -39,22 +40,16 @@ def _fmt(value) -> str:
     return _FMT % float(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header] + [
+        [v if isinstance(v, str) else _fmt(v) for v in row] for row in rows])
+    return buf.getvalue().encode("utf-8")
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode("utf-8")
 
 
 def _marginal_purities(rho: np.ndarray, dims) -> tuple[float, float]:
@@ -209,26 +204,22 @@ _RUNNERS = {
 }
 
 
-def run(scenario: Scenario, out_dir, seed: int | None = None,
-        margin: float | None = None, scenario_bytes: bytes | None = None) -> int:
-    """Execute a parsed scenario and write artifacts into ``out_dir``."""
+def run(scenario: Scenario, out_dir, scenario_bytes: bytes,
+        seed: int | None = None, margin: float | None = None) -> int:
+    """Execute a scenario parsed from ``scenario_bytes`` and write its
+    artifacts into ``out_dir``.  All three are rendered before the directory
+    is made, so a task or artifact that fails leaves nothing."""
     if margin is None:
         margin = DEFAULT_MARGIN if scenario.margin is None else scenario.margin
     margin = check_margin(margin)
     if seed is None:
         seed = scenario.seed
     header, rows, report = _RUNNERS[scenario.task](scenario, margin)
-    out = Path(out_dir)     # made only once the task has succeeded
-    out.mkdir(parents=True, exist_ok=True)
     report["name"] = scenario.name
     report["seed"] = seed
-    csv_path = out / "results.csv"
-    json_path = out / "report.json"
-    _write_csv(csv_path, header, rows)
-    _write_json(json_path, report)
-    if scenario_bytes is None:
-        scenario_bytes = emit_scenario(scenario).encode("utf-8")
-    manifest = {
+    artifacts = {"results.csv": _csv_bytes(header, rows),
+                 "report.json": _json_bytes(report)}
+    artifacts["manifest.json"] = _json_bytes({
         "scenario_sha256": hashlib.sha256(scenario_bytes).hexdigest(),
         "task": scenario.task,
         "seed": seed,
@@ -238,12 +229,13 @@ def run(scenario: Scenario, out_dir, seed: int | None = None,
             "pyyaml": yaml.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
-        "outputs": {
-            "results.csv": _sha256(csv_path),
-            "report.json": _sha256(json_path),
-        },
-    }
-    _write_json(out / "manifest.json", manifest)
+        "outputs": {name: hashlib.sha256(data).hexdigest()
+                    for name, data in artifacts.items()},
+    })
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in artifacts.items():
+        (out / name).write_bytes(data)
     return 0
 
 
@@ -270,8 +262,7 @@ def main(argv=None) -> int:
                 f"{args.task!r} was requested")
         out_dir = (scenario.value("output.path") if args.out is None
                    else args.out)
-        return run(scenario, out_dir, seed=args.seed, margin=args.margin,
-                   scenario_bytes=raw)
+        return run(scenario, out_dir, raw, seed=args.seed, margin=args.margin)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

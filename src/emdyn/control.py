@@ -44,11 +44,10 @@ class LieBasis:
 
     dim_space: int
     elements: tuple[np.ndarray, ...]
-    dimension: int
 
-    def __post_init__(self):
-        if self.dimension != len(self.elements):
-            raise ValidationError("dimension must equal the element count")
+    @property
+    def dimension(self) -> int:
+        return len(self.elements)
 
 
 def _traceless(m: np.ndarray) -> np.ndarray:
@@ -121,7 +120,7 @@ def lie_closure(generators) -> LieBasis:
             break
         ratios = [np.linalg.norm(r) / s for r, s in held]
         accept(held.pop(int(np.argmax(ratios)))[0])
-    return LieBasis(d, tuple(m.copy() for m in mats[:n]), n)
+    return LieBasis(d, tuple(m.copy() for m in mats[:n]))
 
 
 def is_fully_controllable(basis: LieBasis) -> bool:

@@ -21,7 +21,7 @@ from . import opcore
 from .errors import (BadEigenindex, DimMismatch, NonPhysicalResult,
                      NotDensityMatrix, NotHermitian, NumericalError,
                      ValidationError)
-from .opcore import HilbertSpace, check_hermitian, herm_eig, tensor
+from .opcore import check_hermitian, herm_eig, tensor
 
 __all__ = [
     "DissipativeCoupling", "ControlPulse", "MasterEquation",
@@ -71,10 +71,6 @@ class DissipativeCoupling:
     @property
     def d2(self) -> int:
         return self.B.shape[0]
-
-    @property
-    def space(self) -> HilbertSpace:
-        return HilbertSpace((self.d1, self.d2))
 
     # -- embedded operators -------------------------------------------
     def a1(self) -> np.ndarray:
@@ -163,7 +159,8 @@ class ControlPulse:
 
 @dataclass(frozen=True)
 class MasterEquation:
-    """Hamiltonian plus jump operators with rates, on a fixed space.
+    """Hamiltonian plus jump operators with rates, on factors of the
+    dimensions ``dims`` (a non-empty tuple of positive integers).
 
     :meth:`generator` assembles the dense row-vectorized d²×d² generator.
     :func:`propagate` takes the model itself and never forms it: in the
@@ -174,10 +171,16 @@ class MasterEquation:
 
     hamiltonian: np.ndarray
     jumps: tuple[tuple[np.ndarray, float], ...]
-    space: HilbertSpace
+    dims: tuple[int, ...]
 
     def __post_init__(self):
-        d = self.space.total_dim
+        if not (isinstance(self.dims, tuple) and self.dims) or any(
+                isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or n < 1 for n in self.dims):
+            raise DimMismatch(f"dims must be a non-empty tuple of positive "
+                              f"integers, got {self.dims!r}")
+        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        d = int(np.prod(self.dims))
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.shape != (d, d):
             raise DimMismatch(f"Hamiltonian shape {h.shape} != ({d}, {d})")
@@ -421,8 +424,8 @@ def _leading_eigenbasis(me: MasterEquation):
     entry above 1e-12 times its operator's largest entry (non-commuting
     parts, or such an accident), they come back unrotated, with ``W = 1``.
     """
-    d = me.space.total_dim
-    dm = me.space.factor_dims[-1]
+    d = me.hamiltonian.shape[0]
+    dm = me.dims[-1]
     ds = d // dm
     jumps = [(op, r) for op, r in me.jumps if r != 0]
     ops = [me.hamiltonian] + [op for op, _ in jumps]
@@ -572,8 +575,8 @@ def propagate(model: DissipativeCoupling | MasterEquation | np.ndarray,
         evolve, dims = _evolve_coupling, (model.d1, model.d2)
         dims_ok = model.d1 * model.d2 == d
     elif isinstance(model, MasterEquation):
-        evolve, dims = _evolve_master_equation, model.space.factor_dims
-        dims_ok = model.space.total_dim == d
+        evolve, dims = _evolve_master_equation, model.dims
+        dims_ok = model.hamiltonian.shape[0] == d
         if not opcore.is_hermitian(model.hamiltonian):
             raise ValidationError("generator does not preserve Hermiticity")
     else:
@@ -604,7 +607,7 @@ def _check_pulse_dim(pulse: ControlPulse, c: DissipativeCoupling) -> None:
         raise DimMismatch(f"control Hamiltonian dim {d} != S2 dim {c.d2}")
 
 
-def propagate_controlled(c: DissipativeCoupling, pulse: ControlPulse | None,
+def propagate_controlled(c: DissipativeCoupling, pulse: ControlPulse,
                          rho0: np.ndarray) -> np.ndarray:
     """Propagate under the full generator plus a piecewise-constant control.
 
@@ -612,17 +615,16 @@ def propagate_controlled(c: DissipativeCoupling, pulse: ControlPulse | None,
     ``g A1 B2 + 1 ⊗ H_seg`` and jump ``L`` (none when ``gamma == 0``) for
     its duration; segments are applied in order.  Its S1 parts, ``A`` and
     ``1``, commute, so :func:`propagate` evolves it in ``A``'s eigenbasis,
-    one block per pair of those eigenvectors.  With ``pulse=None`` this is
-    a no-op returning ``rho0`` (zero total duration).
+    one block per pair of those eigenvectors.  A pulse with no segments
+    returns a copy of ``rho0``.
     """
-    rho = np.asarray(rho0, dtype=complex)
-    if pulse is None or not pulse.segments:
-        return rho.copy()
     _check_pulse_dim(pulse, c)
+    rho = np.array(rho0, dtype=complex)
     h = c.coherent_hamiltonian()
     jumps = ((c.jump_operator(), 1.0),) if c.gamma > 0 else ()
     eye1 = np.eye(c.d1)
     for k, (dur, _) in enumerate(pulse.segments):
         h2 = tensor([eye1, pulse.segment_hamiltonian(k)])
-        rho = propagate(MasterEquation(h + h2, jumps, c.space), rho, dur)
+        me = MasterEquation(h + h2, jumps, (c.d1, c.d2))
+        rho = propagate(me, rho, dur)
     return rho

@@ -5,7 +5,7 @@ Conventions
 -----------
 * Operators and density matrices are plain complex ``numpy`` arrays.  Where a
   function needs the tensor-factor structure it takes the factor dimensions
-  explicitly (or a :class:`HilbertSpace`).  Factor order is fixed: the first
+  explicitly, as a tuple.  Factor order is fixed: the first
   subsystem's factors precede the second subsystem's factors, which precede
   any auxiliary mode.
 * Superoperators act on **row-vectorized** density matrices:
@@ -25,7 +25,7 @@ from .errors import (BadFactorIndex, DimMismatch, NotDensityMatrix,
                      NotHermitian)
 
 __all__ = [
-    "HilbertSpace", "SpectralDecomposition",
+    "SpectralDecomposition",
     "tensor", "herm_eig", "expm", "partial_trace",
     "vec", "unvec",
     "dissipator_superop",
@@ -41,23 +41,6 @@ POSITIVITY_TOL = 1e-9
 DEGENERACY_RTOL = 1e-9
 
 _HERM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class HilbertSpace:
-    """Composite Hilbert space as an ordered tuple of factor dimensions."""
-
-    factor_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise DimMismatch(f"factor dimensions must be positive: {dims}")
-        object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.factor_dims))
 
 
 @dataclass(frozen=True)
@@ -226,7 +209,7 @@ def expm(op: np.ndarray, scale: complex = 1.0, *,
     return e
 
 
-def partial_trace(rho: np.ndarray, dims: Sequence[int] | HilbertSpace,
+def partial_trace(rho: np.ndarray, dims: Sequence[int],
                   keep: Iterable[int]) -> np.ndarray:
     """Trace out all tensor factors not listed in ``keep``.
 
@@ -236,8 +219,6 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int] | HilbertSpace,
     dims : factor dimensions, in the fixed factor order
     keep : indices of the factors to retain (order-preserving)
     """
-    if isinstance(dims, HilbertSpace):
-        dims = dims.factor_dims
     dims = [int(d) for d in dims]
     keep = sorted(set(int(k) for k in keep))
     n = len(dims)

@@ -16,7 +16,7 @@ from . import circuit as _circuit
 from .bounds import check_margin
 from .errors import NotHermitian, ParseError, ValidationError
 from .liouville import DissipativeCoupling
-from .opcore import check_density, tensor
+from .opcore import check_density, is_hermitian, tensor
 
 __all__ = ["Scenario", "VALID_TASKS", "parse_scenario", "load_scenario",
            "emit_scenario", "parse_operator", "parse_state",
@@ -215,8 +215,9 @@ def _parse_pauli_string(text: str, where: str) -> np.ndarray:
     return result
 
 
-def parse_operator(spec, where: str, hermitian: bool = True) -> np.ndarray:
-    """Resolve an operator spec (Pauli string or nested list) to a matrix."""
+def parse_operator(spec, where: str) -> np.ndarray:
+    """Resolve an operator spec (Pauli string or nested list) to a Hermitian
+    matrix, by the rule of :func:`opcore.is_hermitian`."""
     # a non-finite coefficient, or a term or sum that overflows, is reported
     # below as a ParseError instead of a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -230,7 +231,7 @@ def parse_operator(spec, where: str, hermitian: bool = True) -> np.ndarray:
         if not np.isfinite(mat).all():
             raise ParseError(f"operator {where} has non-finite entries",
                              field=where)
-        if hermitian and not np.allclose(mat, mat.conj().T, atol=1e-12):
+        if not is_hermitian(mat):
             raise NotHermitian(f"operator {where} is not Hermitian")
     return mat
 

@@ -113,7 +113,9 @@ def test_threshold_formula():
     assert bounds.gamma_threshold(task, margin=100.0) == pytest.approx(200.0)
 
 
-@pytest.mark.parametrize("margin", [np.nan, -1.0, 0.0, np.inf])
+# a bool is rejected, as the scenario parser does: True is not a margin of 1
+@pytest.mark.parametrize("margin", [np.nan, -1.0, 0.0, np.inf, True,
+                                    np.True_])
 def test_threshold_rejects_bad_margin(margin):
     task = bounds.make_gate_task(make_coupling(), PLUS, 1.0)
     with pytest.raises(ValidationError, match="margin must be positive"):
@@ -139,6 +141,15 @@ def test_absorbed_eta_convention_agrees():
     direct = bounds.error_upper_bound(task)
     absorbed = error_upper_bound_absorbed(1.3, 7.0, 0.6 * SZ)
     assert direct == pytest.approx(absorbed, rel=1e-14)
+
+
+@pytest.mark.parametrize("closed_form", [bounds.exact_error_commuting,
+                                         bounds.error_upper_bound])
+def test_closed_forms_need_damping(closed_form):
+    task = bounds.make_gate_task(make_coupling(gamma=0.0, eta=0.0, g=1.0),
+                                 PLUS, 1.0)
+    with pytest.raises(ValidationError, match="gamma > 0"):
+        closed_form(task)
 
 
 def test_exact_error_requires_unpulsed_task():

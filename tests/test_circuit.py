@@ -97,6 +97,25 @@ def test_tone_plan_rejects_nonpositive_frequencies():
                                        (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("Omega, omega_z, phi_x1, phi_y", [
+    ((5.0, 6.0, np.nan), 12.0, 0.0, (0.0, 0.0, 0.0)),
+    ((5.0, 6.0), 12.0, 0.0, (0.0, 0.0, 0.0)),
+    ((5.0, 6.0, 4.0), np.inf, 0.0, (0.0, 0.0, 0.0)),
+    ((5.0, 6.0, 4.0), np.nan, 0.0, (0.0, 0.0, 0.0)),
+    ((5.0, 6.0, 4.0), 12.0, np.nan, (0.0, 0.0, 0.0)),
+    ((5.0, 6.0, 4.0), 12.0, 0.0, (0.0, np.inf, 0.0))])
+def test_tone_plans_reject_bad_input(Omega, omega_z, phi_x1, phi_y):
+    """Three finite ``Omega`` and ``phi_y`` for both plans, and a finite
+    ``omega_z`` and ``phi_x1`` for the dissipative one, or
+    :class:`ValidationError` (no NaN or infinite tone, no bare
+    ``ValueError``)."""
+    with pytest.raises(ValidationError):
+        circuit.plan_dissipative_tones(Omega, omega_z, phi_x1, phi_y)
+    if np.isfinite([omega_z, phi_x1]).all():
+        with pytest.raises(ValidationError):
+            circuit.plan_coherent_tones(Omega, phi_y)
+
+
 def test_tone_plan_flags_collisions():
     ts = circuit.plan_dissipative_tones((5.0, 6.0, 4.0), 12.0, 0.0,
                                         (0.0, 0.0, 0.0), collisions=[17.0])
@@ -230,6 +249,22 @@ def test_mode_damping_must_be_finite_and_positive(rate):
         circuit.adiabatic_eliminate(1.0, 0.5, 0.0, 0.0, rate, SZ, SX)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: dataclasses.replace(working_point(), phi0=0.0),
+    lambda: circuit.validate_elimination(
+        circuit.build_system_bath(circuit.SystemBathParams(1.0, 0.5, 50.0),
+                                  SZ, SX, (0.0, 0.0)),
+        circuit.adiabatic_eliminate(1.0, 0.5, 0.0, 0.0, 50.0, SZ, SX),
+        np.eye(2) / 2, 1.0),
+    lambda: circuit.plan_coherent_tones((0.0, 6.0, 4.0), (0.0, 0.0, 0.0)),
+    lambda: circuit.plan_coherent_tones((5.0, 6.0, 4.0), (0.0, 0.0))],
+    ids=["phi0-zero", "validate_elimination-rho0", "Omega-zero",
+         "phi_y-two"])
+def test_validation_branches(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
 def test_system_bath_guards():
     with pytest.raises(TruncationTooSmall):
         circuit.build_system_bath(
@@ -255,7 +290,7 @@ def test_elimination_distance_shrinks_with_damping():
 def _unrotated_distance(full, gen, rho0, t):
     """validate_elimination's distance from dense complex expms, unrotated,
     with ``gen`` the eliminated model's generator."""
-    dims = full.space.factor_dims
+    dims = full.dims
     rho = dense_expm_oracle(full.generator(), np.kron(
         rho0, circuit.fock_vacuum(dims[-1])), t)
     marginal = opcore.partial_trace(rho, dims, range(len(dims) - 1))
@@ -291,7 +326,7 @@ def test_validate_elimination_non_commuting_falls_back(rng):
     h = (np.kron(SZ, circuit.quadrature(a, 0.2))
          + np.kron(SX, circuit.quadrature(a, 1.3)))
     full = liouville.MasterEquation(h, ((np.kron(np.eye(2), a), 20.0),),
-                                    opcore.HilbertSpace((2, 5)))
+                                    (2, 5))
     w, h, _ = liouville._leading_eigenbasis(full)
     assert h is full.hamiltonian
     npt.assert_array_equal(w, np.eye(10))
@@ -331,7 +366,7 @@ def test_jrm_effective_model_structure():
     tones = circuit.plan_dissipative_tones((5.0, 6.0, 4.0), 12.0, 0.0,
                                            (0.0, 0.0, 0.0))
     me = circuit.build_jrm_effective(params, tones)
-    assert me.space.factor_dims == (2, 2, 2, 4)
+    assert me.dims == (2, 2, 2, 4)
     h = me.hamiltonian
     # single-qubit-1 channel amplitude: -(Lambda/4) lambda_1z on sx_1 X_0
     a = circuit.lowering(3)
@@ -340,6 +375,21 @@ def test_jrm_effective_model_structure():
     overlap = np.vdot(sx1, h) / np.vdot(sx1, sx1)
     assert overlap.real == pytest.approx(-(ec.Lambda / 4) * params.lambda_1z,
                                          rel=1e-12)
+    sxx23 = opcore.tensor([np.eye(2), SX, SX, a + a.conj().T])
+    want = -(ec.Lambda / 4) * (params.lambda_1z * sx1 + ec.beta * sxx23)
+    npt.assert_allclose(h, want, rtol=0, atol=1e-14)
+
+
+def test_jrm_effective_checks_fock_cutoff():
+    """The ring modulator is built by build_system_bath, whose occupation
+    guard it shares: at E_J = 4000 the driven occupation is 3.41, past
+    n_max/2 = 1."""
+    params = dataclasses.replace(working_point(n_max=2), E_J=4000.0)
+    tones = circuit.plan_dissipative_tones((5.0, 6.0, 4.0), 12.0, 0.0,
+                                           (0.0, 0.0, 0.0))
+    with pytest.raises(TruncationTooSmall, match="3.41"):
+        circuit.build_jrm_effective(params, tones)
+    circuit.build_jrm_effective(working_point(n_max=2), tones)
 
 
 def test_strong_damping_condition_value():
@@ -349,8 +399,9 @@ def test_strong_damping_condition_value():
     want = ec.gamma_eff * (0.15 ** 4 / 0.25 ** 2) * 0.25
     assert value == pytest.approx(want, rel=1e-12)
     assert ok
-    _, ok = circuit.strong_damping_condition(params, threshold=1e-6)
-    assert not ok
+    # the value grows as E_J²: 9 × 1.6e-3 is past the 1e-2 threshold
+    strong = dataclasses.replace(params, E_J=3 * params.E_J)
+    assert not circuit.strong_damping_condition(strong)[1]
 
 
 def test_nonreciprocity_condition_table():
@@ -369,5 +420,3 @@ def test_three_body_sign_convention():
     sxxx = opcore.tensor([SX, SX, SX])
     npt.assert_allclose(circuit.coherent_three_body(params),
                         (lam / 4) * sxxx, atol=1e-14)
-    npt.assert_allclose(circuit.coherent_three_body(params, theta=0.0),
-                        -(lam / 4) * sxxx, atol=1e-14)

@@ -142,7 +142,9 @@ def test_closure_input_validation():
 
 
 def test_lie_basis_dimension_consistency():
-    with pytest.raises(ValidationError):
+    """The dimension is the element count, not a separate field."""
+    assert control.LieBasis(dim_space=2, elements=(SZ,)).dimension == 1
+    with pytest.raises(TypeError):
         control.LieBasis(dim_space=2, elements=(SZ,), dimension=2)
 
 

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from emdyn import emergent, liouville, opcore
-from emdyn.errors import DegenerateFit, ValidationError
+from emdyn.errors import DegenerateFit, DimMismatch, ValidationError
 
 from conftest import build_full_generator, rand_density, rand_hermitian
 
@@ -73,6 +73,16 @@ def test_mixture_rejects_nan(probs, u):
     with pytest.raises(ValidationError):
         emergent.UnitaryMixture(probs=probs, unitaries=(np.eye(2), u),
                                 eigenvalues=(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: emergent.strong_damping_map(make_coupling(), np.eye(3) / 3, 1.0),
+    lambda: emergent.apply_mixture(
+        emergent.strong_damping_map(make_coupling(), P0, 1.0), np.eye(3) / 3)],
+    ids=["strong_damping_map-rho1", "apply_mixture-rho2"])
+def test_map_rejects_wrong_dimension(call):
+    with pytest.raises(DimMismatch):
+        call()
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])

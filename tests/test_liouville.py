@@ -52,10 +52,31 @@ def test_coupling_rejects_non_finite_rates(field, value):
         make_coupling(**{field: value})
 
 
+@pytest.mark.parametrize("dims", [(2.5, 2), (True, 2), (0, 2), (), [2, 2],
+                                  (np.int64(2), 2.0)],
+                         ids=["float", "bool", "zero", "empty", "list",
+                              "numpy-and-float"])
+def test_master_equation_dims_checked(dims):
+    """Each factor is a positive int or NumPy integer, in a non-empty tuple;
+    nothing is truncated (``(2.9, 2)`` once passed as 2 ⊗ 2)."""
+    with pytest.raises(DimMismatch, match="dims"):
+        liouville.MasterEquation(np.eye(4), (), dims)
+    me = liouville.MasterEquation(np.eye(4), (), (np.int64(2), 2))
+    assert me.dims == (2, 2) and type(me.dims[0]) is int
+
+
+@pytest.mark.parametrize("operator", ["Hamiltonian", "jump"])
+def test_master_equation_rejects_wrong_shapes(operator):
+    h, jumps = (np.eye(3), ()) if operator == "Hamiltonian" else (
+        SZ, ((np.eye(3), 1.0),))
+    with pytest.raises(DimMismatch, match=f"{operator} shape"):
+        liouville.MasterEquation(h, jumps, (2,))
+
+
 @pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
 def test_master_equation_rejects_bad_rates(rate):
     with pytest.raises(ValidationError, match="jump rate"):
-        liouville.MasterEquation(SZ, ((SX, rate),), opcore.HilbertSpace((2,)))
+        liouville.MasterEquation(SZ, ((SX, rate),), (2,))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -64,7 +85,7 @@ def test_master_equation_rejects_non_finite_operators(operator, value):
     h, jumps = SZ.copy(), [(SX, 1.0), (SZ.copy(), 1.0)]
     (h if operator == "Hamiltonian" else jumps[1][0])[0, 0] = value
     with pytest.raises(ValidationError, match=operator):
-        liouville.MasterEquation(h, tuple(jumps), opcore.HilbertSpace((2,)))
+        liouville.MasterEquation(h, tuple(jumps), (2,))
 
 
 def test_eta_at_or_above_gamma_warns():
@@ -130,7 +151,7 @@ def test_propagate_rejects_non_finite_time(model, t):
     model = {"coupling": c,
              "master": liouville.MasterEquation(
                  c.coherent_hamiltonian(), ((c.jump_operator(), 1.0),),
-                 c.space),
+                 (c.d1, c.d2)),
              "dense": build_full_generator(c)}[model]
     with pytest.raises(ValidationError, match="finite"):
         liouville.propagate(model, np.kron(PLUS, P0), t)
@@ -221,7 +242,7 @@ def master_equation_cases(draw):
          10 ** draw(st.floats(-2.0, 3.0)))
         for _ in range(draw(st.integers(1, 2))))
     me = liouville.MasterEquation(rand_hermitian(rng, d), jumps,
-                                  opcore.HilbertSpace((d,)))
+                                  (d,))
     if draw(st.booleans()):
         rho0 = rand_density(rng, d)
     else:
@@ -249,7 +270,7 @@ def test_route_keeps_trace_at_large_norm_t(rng):
         jumps = tuple((rand_hermitian(rng, d) + 1j * rand_hermitian(rng, d),
                        1e3) for _ in range(2))
         gen = liouville.MasterEquation(rand_hermitian(rng, d), jumps,
-                                       opcore.HilbertSpace((d,))).generator()
+                                       (d,)).generator()
         out = liouville._evolve_real_basis(gen, rand_density(rng, d), 50.0)
         assert abs(np.trace(out) - 1.0) <= 1e-13
 
@@ -303,7 +324,7 @@ def block_structured_cases(draw):
         if draw(st.booleans()):
             jumps.append((np.kron(sys_ops[0], np.eye(dm)), 0.3))
         me = liouville.MasterEquation(h, tuple(jumps),
-                                      opcore.HilbertSpace((ds, dm)))
+                                      (ds, dm))
     if draw(st.booleans()):
         rho0 = rand_density(rng, ds * dm)
     else:
@@ -360,7 +381,7 @@ def component_models(draw):
     jumps = [(block_diagonal(rand_op), 10 ** draw(st.floats(-2.0, 2.0)))
              for _ in range(draw(st.integers(1, 2)))]
     jumps.append((rand_op(d), 0.0))
-    me = liouville.MasterEquation(h, tuple(jumps), opcore.HilbertSpace((d,)))
+    me = liouville.MasterEquation(h, tuple(jumps), (d,))
     if draw(st.booleans()):
         rho0 = rand_density(rng, d)
     else:
@@ -409,7 +430,7 @@ def rotated_models(draw):
              for _ in range(draw(st.integers(1, 2)))]
     jumps.append((rand_op(ds * dm), 0.0))
     me = liouville.MasterEquation(h, tuple(jumps),
-                                  opcore.HilbertSpace((ds, dm)))
+                                  (ds, dm))
     rho0 = (rand_density(rng, ds * dm) if draw(st.booleans()) else
             np.kron(rand_density(rng, ds), circuit.fock_vacuum(dm)))
     bad = [h + 1j * np.kron(rand_hermitian(rng, ds), np.eye(dm))]
@@ -691,7 +712,7 @@ def test_propagate_controlled_matches_oracle(rng, d1, d2):
     for k, (dur, _) in enumerate(pulse.segments):
         h = c.coherent_hamiltonian() + np.kron(np.eye(d1),
                                                pulse.segment_hamiltonian(k))
-        me = liouville.MasterEquation(h, ((L, 1.0),), c.space)
+        me = liouville.MasterEquation(h, ((L, 1.0),), (c.d1, c.d2))
         assert liouville._leading_eigenbasis(me)[1] is not me.hamiltonian
         want = dense_expm_oracle(kron_superop(h, h, [(L, L, 1.0)]), want, dur)
     got = liouville.propagate_controlled(c, pulse, rho0)
@@ -699,14 +720,18 @@ def test_propagate_controlled_matches_oracle(rng, d1, d2):
 
 
 def test_propagate_controlled_no_pulse():
+    """A pulse with no segments returns a copy of the state."""
     c = make_coupling()
     rho0 = np.kron(P0, P0)
-    npt.assert_allclose(liouville.propagate_controlled(c, None, rho0), rho0)
+    pulse = liouville.ControlPulse(segments=(), hamiltonians=(SX,))
+    got = liouville.propagate_controlled(c, pulse, rho0)
+    npt.assert_array_equal(got, rho0)
+    assert got is not rho0
 
 
 def test_master_equation_generator(rng):
     h = rand_hermitian(rng, 2)
     L = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    me = liouville.MasterEquation(h, ((L, 3.0),), opcore.HilbertSpace((2,)))
+    me = liouville.MasterEquation(h, ((L, 3.0),), (2,))
     want = hamiltonian_superop(h) + 3.0 * opcore.dissipator_superop(L)
     npt.assert_allclose(me.generator(), want, atol=1e-13)

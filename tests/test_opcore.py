@@ -292,7 +292,7 @@ def test_superop_builders_match_kron_oracle(rng, d):
                         kron_superop(z, z, [(L1, L1, 1.0)]),
                         rtol=0, atol=1e-13)
     me = liouville.MasterEquation(h, ((L1, 0.7), (L2, 0.0)),
-                                  opcore.HilbertSpace((d,)))
+                                  (d,))
     npt.assert_allclose(me.generator(),
                         kron_superop(h, h, [(L1, L1, 0.7), (L2, L2, 0.0)]),
                         rtol=0, atol=1e-13)
@@ -368,10 +368,20 @@ def test_partial_trace_dim_mismatch():
         opcore.partial_trace(rho, (2, 3), [0])
 
 
-def test_hilbert_space():
-    space = opcore.HilbertSpace((2, 3, 4))
-    assert space.total_dim == 24
-    assert space.factor_dims == (2, 3, 4)
+@pytest.mark.parametrize("call, error", [
+    (lambda: opcore.tensor([SX, np.ones((2, 3))]), DimMismatch),
+    (lambda: opcore.check_hermitian(np.ones((2, 3))), DimMismatch),
+    (lambda: opcore.check_density(np.ones(4) / 4), NotDensityMatrix),
+    (lambda: opcore.expm(np.ones((2, 3))), DimMismatch),
+    (lambda: opcore.dissipator_superop(np.ones((2, 3))), DimMismatch),
+    (lambda: opcore.partial_trace(I2 / 2, (2,), []), BadFactorIndex),
+    (lambda: opcore.trace_distance(I2 / 2, np.eye(3) / 3), DimMismatch)],
+    ids=["tensor", "check_hermitian", "check_density", "expm",
+         "dissipator_superop", "partial_trace-empty-keep", "trace_distance"])
+def test_validation_branches(call, error):
+    """Non-square arguments and an empty keep set are rejected."""
+    with pytest.raises(error):
+        call()
 
 
 def test_check_density_rejects_bad_inputs():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emdyn
-from emdyn import cli, circuit, scenario
+from emdyn import cli, circuit, opcore, scenario
 from emdyn.errors import NotHermitian, ParseError, ValidationError
 from emdyn.scenario import (MAX_PAULI_FACTORS, VALID_TASKS, emit_scenario,
                             parse_operator, parse_scenario, parse_state)
@@ -54,6 +54,14 @@ def test_round_trip_all_sample_scenarios():
     for path in sorted(SCENARIO_DIR.glob("*.yaml")):
         s = parse_scenario(path.read_text())
         assert parse_scenario(emit_scenario(s)) == s, path.name
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in SCENARIO_DIR.glob("*.yaml")))
+def test_load_scenario_reads_the_file(name):
+    path = SCENARIO_DIR / name
+    assert (scenario.load_scenario(path)
+            == parse_scenario(path.read_text(encoding="utf-8")))
 
 
 @st.composite
@@ -174,8 +182,8 @@ def test_pauli_complex_coefficients():
     sy = np.array([[0, -1j], [1j, 0]])
     got = parse_operator("(0.5+0j)*sx - 0.25*sz", "x")
     npt.assert_allclose(got, 0.5 * sx - 0.25 * np.diag([1.0, -1.0]))
-    got = parse_operator("1j*sx⊗sy", "x", hermitian=False)
-    npt.assert_allclose(got, 1j * np.kron(sx, sy))
+    got = parse_operator("(0.5+1j)*sx⊗sy - 1j*sx⊗sy", "x")
+    npt.assert_allclose(got, 0.5 * np.kron(sx, sy))
     with pytest.raises(NotHermitian):
         parse_operator("1j*sx⊗sy", "x")
     for bad in ("(1+*sx", "(1+", "(1+0j))*sx"):
@@ -208,7 +216,7 @@ def test_pauli_parser_fuzz(tokens):
     except (ParseError, ValidationError):
         return
     assert np.isfinite(mat).all()
-    npt.assert_allclose(mat, mat.conj().T, atol=1e-12)
+    assert opcore.is_hermitian(mat)
 
 
 def test_cli_anti_hermitian_pauli_exits_2(tmp_path, capsys):
@@ -216,6 +224,19 @@ def test_cli_anti_hermitian_pauli_exits_2(tmp_path, capsys):
     bad.write_text(MINIMAL.replace("B: sx", "B: 1j*sx"))
     assert run_cli("equivalence", "--scenario", str(bad)) == 2
     assert "not Hermitian" in capsys.readouterr().err
+
+
+def test_cli_nearly_hermitian_dense_operator_exits_2(tmp_path, capsys):
+    """Dense operators are held to opcore.is_hermitian's rule at the parse,
+    so an off-diagonal mismatch of 1e-7 is reported there, by field."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINIMAL.replace(
+        "A: sz", 'A: [[1, "0.5+1e-7j"], ["0.5+0j", -1]]'))
+    rc = run_cli("equivalence", "--scenario", str(bad),
+                 "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert "system.operators.A is not Hermitian" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -244,10 +265,10 @@ def test_extreme_ket_normalizes(tmp_path, spec, plain):
                            parse_state(plain, 2, "initial.rho2"))
     outputs = []
     for name, ket in (("extreme", spec), ("plain", plain)):
-        doc = parse_scenario(MINIMAL.replace("task: equivalence",
-                                             "task: simulate")
-                             + f"initial:\n  rho2: {json.dumps(ket)}\n")
-        assert cli.run(doc, tmp_path / name) == 0
+        text = (MINIMAL.replace("task: equivalence", "task: simulate")
+                + f"initial:\n  rho2: {json.dumps(ket)}\n")
+        assert cli.run(parse_scenario(text), tmp_path / name,
+                       text.encode("utf-8")) == 0
         outputs.append((tmp_path / name / "results.csv").read_bytes())
     assert outputs[0] == outputs[1]
     with pytest.raises(ValidationError, match="zero vector"):
@@ -469,7 +490,7 @@ def test_scenario_rejects_nonfinite_numbers(old, new, field):
 def test_cli_unfittable_sweep_writes_null(tmp_path, eta, gammas):
     doc = MINIMAL.replace("eta: 1.0", f"eta: {eta}").replace(
         "[10.0, 100.0, 1000.0, 10000.0]", str(gammas))
-    rc = cli.run(parse_scenario(doc), tmp_path)
+    rc = cli.run(parse_scenario(doc), tmp_path, doc.encode("utf-8"))
     assert rc == 0
 
     def reject(token):
@@ -565,6 +586,24 @@ def test_cli_overflowing_evolution_exits_3(tmp_path, capsys):
     assert rc == 3
     assert ("numerical failure: propagated state has non-finite entries"
             in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("old, new, code, message", [
+    ("lambda_1z: 0.25", "lambda_1z: 0.0", 2, "lambda_1z must be nonzero"),
+    ("E_J: 282.842712474619", "E_J: 1.0e+300", 3, "is not finite")],
+    ids=["lambda_1z-zero", "E_J-overflow"])
+def test_cli_circuit_validate_bad_constants(tmp_path, capsys, old, new, code,
+                                            message):
+    """Parseable circuits whose coupling constants cannot be formed exit 2
+    or 3 and leave no output directory."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(CIRCUIT.replace(old, new))
+    rc = run_cli("circuit-validate", "--scenario", str(bad),
+                 "--out", str(tmp_path / "out"))
+    assert rc == code
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
