@@ -242,10 +242,18 @@ def controlled_point(em, dims):
     return oracle, lambda: em.liouville.propagate_controlled(c, pulse, rho0)
 
 
+def dissipator(em, L):
+    """The generator of ``D[L]``, as ``MasterEquation.generator`` builds it."""
+    d = len(L)
+    return em.liouville.MasterEquation(np.zeros((d, d)), ((L, 1.0),),
+                                       (d,)).generator()
+
+
 def dissipator_build(em, d, kind):
-    """``dissipator_superop`` of ``elimination_point``'s eliminated jump (D =
-    4, with exact zeros) or of the rotated frame's dense ``M`` on d2 levels
-    (the 64×64 ``D[M]`` at d2 = 8), against its Kronecker build."""
+    """The generator of ``D[L]`` (:func:`dissipator`) for
+    ``elimination_point``'s eliminated jump (D = 4, with exact zeros) or the
+    rotated frame's dense ``M`` on d2 levels (the 64×64 ``D[M]`` at d2 =
+    8), against its Kronecker build."""
     if kind == "elimination":
         lam1, lam2, gamma_a, phi1, phi2 = elimination_model(em, 4)[0]
         L = eliminated_jump(em, lam1, lam2, phi1, phi2, gamma_a, SZ, SX)
@@ -256,7 +264,7 @@ def dissipator_build(em, d, kind):
             1j * c.phi) * c.eta / np.sqrt(c.gamma) * c.B
     z = np.zeros_like(L)
     return (lambda: kron_superop(z, z, [(L, L, 1.0)]),
-            lambda: em.opcore.dissipator_superop(L))
+            lambda: dissipator(em, L))
 
 
 def jrm_model(em, n_max):
@@ -314,10 +322,10 @@ def dense_call(em, d, kind):
     rng = np.random.default_rng([8, d])
     if kind == "no_zero":
         L = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        gen = em.opcore.dissipator_superop(L / np.abs(L).sum(0).max())
+        gen = dissipator(em, L / np.abs(L).sum(0).max())
     else:
         B = rand_hermitian(rng, d // 2)
-        gen = em.opcore.dissipator_superop(eliminated_jump(
+        gen = dissipator(em, eliminated_jump(
             em, 5.0, 2.5, 0.1, 0.7, 100.0, SZ, B / np.abs(B).sum(0).max()))
     rho0 = np.eye(d, dtype=complex) / d
     rho0[0, 1] = rho0[1, 0] = 0.5 / d
@@ -646,7 +654,8 @@ def e2e(args) -> dict:
             for side in order:
                 env = dict(os.environ, PYTHONPATH=str(sides[side] / "src"))
                 for path in samples:
-                    task = emdyn.scenario.load_scenario(path).task
+                    task = emdyn.scenario.parse_scenario(
+                        path.read_text(encoding="utf-8")).task
                     s, out = wall_s([sys.executable, "-m", "emdyn.cli", task,
                                      "--scenario", str(path), "--out",
                                      str(Path(tmp) / side / path.stem)],

@@ -14,17 +14,15 @@ from .errors import (BadEigenindex, BadFactorIndex, DegenerateFit,
                      NumericalError, NonPhysicalResult, ParseError,
                      RequiresNoPulse, TruncationTooSmall, ValidationError,
                      ZeroPrimaryCoupling)
-from .opcore import (SpectralDecomposition, dissipator_superop, expm,
-                     herm_eig, partial_trace, tensor, trace_distance, unvec,
-                     vec)
+from .opcore import (SpectralDecomposition, expm, herm_eig, partial_trace,
+                     tensor, trace_distance)
 from .liouville import (ControlPulse, DissipativeCoupling, MasterEquation,
                         propagate, propagate_controlled, reduced_s2_generator)
 from .emergent import (UnitaryMixture, apply_mixture, equivalence_gap,
                        fit_power_law, nonreciprocity_report, scaling_exponent,
                        strong_damping_map)
 from .control import (LieBasis, controllability_delta,
-                      dissipation_induced_drift, is_fully_controllable,
-                      lie_closure)
+                      dissipation_induced_drift, lie_closure)
 from .bounds import (GateTask, empirical_error, error_upper_bound,
                      exact_error_commuting, gamma_threshold, make_gate_task,
                      rotated_frame_marginal, s1_eigenstate)
@@ -32,9 +30,9 @@ from .circuit import (BosonicMode, CircuitParams, EffectiveCoupling,
                       SystemBathParams, ToneSet, adiabatic_eliminate,
                       build_jrm_effective, build_system_bath,
                       coherent_three_body, effective_coupling_constants,
-                      modulation_signal, nonreciprocity_conditions,
-                      plan_coherent_tones, plan_dissipative_tones,
-                      strong_damping_condition, validate_elimination)
-from .scenario import Scenario, emit_scenario, load_scenario, parse_scenario
+                      nonreciprocity_conditions, plan_coherent_tones,
+                      plan_dissipative_tones, strong_damping_condition,
+                      validate_elimination)
+from .scenario import Scenario, parse_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,10 +5,10 @@ against.
 
 A :class:`GateTask` packages the initial and target pure states of S2, the
 duration, the coupling, and an optional piecewise-constant control pulse.
-The first subsystem is taken to start in an eigenstate of ``A`` (eigenindex
-selectable); :func:`make_gate_task` computes the matching target state from
-the effective drift (plus pulse) so the error measures all refer to the same
-gate.
+The first subsystem is taken to start in the merged eigenspace of ``A``'s
+largest eigenvalue; :func:`make_gate_task` computes the matching target state
+from the effective drift (plus pulse) so the error measures all refer to the
+same gate.
 
 Conventions: the bound is evaluated in the *factored* form
 ``(t eta^2 / 2 gamma) (opnorm(B)^2 + opnorm(B^2))`` where ``B`` is the bare
@@ -41,19 +41,14 @@ DEFAULT_MARGIN = 100.0
 
 @dataclass(frozen=True)
 class GateTask:
-    """A state-preparation task on S2 driven through the coupling.
-
-    ``a_eigenindex`` selects which merged eigenspace of ``A`` the first
-    subsystem is prepared in (python indexing into the ascending spectrum;
-    the default −1 is the largest eigenvalue).
-    """
+    """A state-preparation task on S2 driven through the coupling, with S1
+    prepared in ``A``'s top merged eigenspace."""
 
     psi0: np.ndarray
     target: np.ndarray
     t: float
     coupling: DissipativeCoupling
     pulse: ControlPulse | None = None
-    a_eigenindex: int = -1
 
     def __post_init__(self):
         for name in ("psi0", "target"):
@@ -75,9 +70,9 @@ class GateTask:
                     f"pulse duration {total} != task duration {self.t}")
 
 
-def s1_eigenstate(c: DissipativeCoupling, a_eigenindex: int = -1) -> np.ndarray:
-    """A deterministic unit vector in the chosen merged eigenspace of A."""
-    p = _a_eigenspace(c, a_eigenindex)[1]
+def s1_eigenstate(c: DissipativeCoupling) -> np.ndarray:
+    """A deterministic unit vector in A's top merged eigenspace."""
+    p = _a_eigenspace(c, -1)[1]
     for k in range(p.shape[0]):
         v = p[:, k]
         n = np.linalg.norm(v)
@@ -87,8 +82,7 @@ def s1_eigenstate(c: DissipativeCoupling, a_eigenindex: int = -1) -> np.ndarray:
 
 
 def make_gate_task(coupling: DissipativeCoupling, psi0: np.ndarray, t: float,
-                   pulse: ControlPulse | None = None,
-                   a_eigenindex: int = -1) -> GateTask:
+                   pulse: ControlPulse | None = None) -> GateTask:
     """Build a task whose target is what the effective dynamics would reach.
 
     Without a pulse the target is ``exp(-i t lam_a (g + eta sin phi) B) psi0``.
@@ -100,8 +94,8 @@ def make_gate_task(coupling: DissipativeCoupling, psi0: np.ndarray, t: float,
     if not 1e-12 <= norm < np.inf:
         raise ValidationError(f"psi0 must be finite and nonzero, norm {norm}")
     psi0 = psi0 / norm
-    checked = GateTask(psi0, psi0, t, coupling, pulse, a_eigenindex)
-    coeff = reduced_s2_generator(coupling, a_eigenindex)[0]
+    checked = GateTask(psi0, psi0, t, coupling, pulse)
+    coeff = reduced_s2_generator(coupling, -1)[0]
     if pulse is None:
         u = opcore.expm(coupling.B, -1j * t * coeff)
     else:
@@ -156,8 +150,8 @@ def gamma_threshold(task: GateTask, margin: float = DEFAULT_MARGIN) -> float:
     margin = check_margin(margin)
     c = task.coupling
     lam = herm_eig(c.B).eigenvalues
-    max_gap = float(lam[-1] - lam[0])   # ascending spectrum
-    return float(margin * c.eta ** 2 * (task.t / 2.0) * max_gap ** 2)
+    gap = float(lam[-1] - lam[0])   # ascending spectrum
+    return float(margin * (c.eta * c.eta) * (task.t / 2.0) * (gap * gap))
 
 
 def error_upper_bound(task: GateTask) -> float:
@@ -173,7 +167,8 @@ def error_upper_bound(task: GateTask) -> float:
         raise ValidationError("bound needs gamma > 0")
     bnorm = float(np.max(np.abs(np.linalg.eigvalsh(c.B))))
     b2norm = float(np.max(np.abs(np.linalg.eigvalsh(c.B @ c.B))))
-    return float(task.t * c.eta ** 2 / (2 * c.gamma) * (bnorm ** 2 + b2norm))
+    return float(task.t * (c.eta * c.eta) / (2 * c.gamma)
+                 * (bnorm * bnorm + b2norm))
 
 
 # --------------------------------------------------------------------------
@@ -183,12 +178,12 @@ def error_upper_bound(task: GateTask) -> float:
 def empirical_error(task: GateTask) -> float:
     """``1 − <target| rho2(t) |target>`` from full finite-gamma propagation.
 
-    S1 is prepared in the task's eigenstate of ``A``; the joint state is
+    S1 is prepared in :func:`s1_eigenstate`; the joint state is
     propagated under the full generator (with the pulse if present) and the
     fidelity is read off the S2 marginal.
     """
     c = task.coupling
-    a_vec = s1_eigenstate(c, task.a_eigenindex)
+    a_vec = s1_eigenstate(c)
     rho0 = tensor([np.outer(a_vec, a_vec.conj()),
                    np.outer(task.psi0, task.psi0.conj())])
     if task.pulse is None:
@@ -207,8 +202,8 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
     In that frame the control commutator disappears and the jump becomes
     time-dependent, ``L(t) = sqrt(gamma) (A1 − i gamma^{-1} Btilde2(t))``
     with ``Btilde(t) = V(t)† (eta B) V(t)`` and ``V`` the accumulated control
-    unitary.  S1 starts in an eigenstate of ``A`` with eigenvalue ``lam``
-    and stays there, so S2 evolves alone under the jump
+    unitary.  S1 starts in ``A``'s top eigenspace, eigenvalue ``lam``, and
+    stays there, so S2 evolves alone under the jump
     ``sqrt(gamma) (lam − i gamma^{-1} Btilde(t))``.  The time dependence is
     handled by midpoint-frozen substeps (the exponential-midpoint rule).
     The jump at a midpoint ``V`` is ``V† M V``, ``M = c.jump(lam, B)``, so a
@@ -230,7 +225,7 @@ def rotated_frame_marginal(task: GateTask, substeps: int = 200
         raise ValidationError("rotated-frame route is for pulsed tasks")
     if c.g != 0:
         raise ValidationError("rotated-frame route assumes g == 0")
-    lam = _a_eigenspace(c, task.a_eigenindex)[0]
+    lam = _a_eigenspace(c, -1)[0]
     d = c.d2
     b, u = np.linalg.eigh(c.B)
     rates = _rates(c.jump(lam, b) if c.gamma > 0 else np.zeros(d))

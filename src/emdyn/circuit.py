@@ -25,7 +25,7 @@ __all__ = [
     "SystemBathParams", "lowering", "quadrature", "fock_vacuum",
     "adiabatic_eliminate", "build_system_bath", "validate_elimination",
     "effective_coupling_constants", "plan_dissipative_tones",
-    "plan_coherent_tones", "modulation_signal", "build_jrm_effective",
+    "plan_coherent_tones", "build_jrm_effective",
     "strong_damping_condition", "nonreciprocity_conditions",
     "coherent_three_body",
 ]
@@ -197,7 +197,7 @@ def adiabatic_eliminate(lambda1: float, lambda2: float, phi1: float,
     if lambda1 == 0:
         raise ZeroPrimaryCoupling("lambda1 must be nonzero to eliminate")
     flip = np.pi if lambda1 * lambda2 >= 0 else 0.0
-    return DissipativeCoupling(A, B, gamma=4 * lambda1 ** 2 / gamma_a,
+    return DissipativeCoupling(A, B, gamma=4 * (lambda1 * lambda1) / gamma_a,
                                eta=4 * abs(lambda1 * lambda2) / gamma_a,
                                phi=phi2 - phi1 + flip)
 
@@ -216,8 +216,9 @@ def build_system_bath(params: SystemBathParams, A: np.ndarray, B: np.ndarray,
     B = opcore.check_hermitian(B, "B")
     a_norm = float(np.max(np.abs(np.linalg.eigvalsh(A))))
     b_norm = float(np.max(np.abs(np.linalg.eigvalsh(B))))
-    occ = (2 * (abs(params.lambda1) * a_norm + abs(params.lambda2) * b_norm)
-           / params.gamma_a) ** 2
+    drive = (2 * (abs(params.lambda1) * a_norm + abs(params.lambda2) * b_norm)
+             / params.gamma_a)
+    occ = drive * drive
     if occ > params.n_max / 2:
         raise TruncationTooSmall(
             f"driven occupation estimate {occ:.2f} exceeds n_max/2 = "
@@ -275,7 +276,8 @@ def effective_coupling_constants(params: CircuitParams) -> EffectiveCoupling:
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         lam = params.E_J * params.alpha_x * params.alpha_y \
             * np.sin(params.phi_ext / params.phi0) \
-            * params.phi_z0 ** 2 / (4 * params.phi0 ** 2)
+            * (params.phi_z0 * params.phi_z0) \
+            / (4 * (params.phi0 * params.phi0))
         beta = params.lambda_2z * params.lambda_3z * params.phi_z0 \
             / (2 * params.phi0)
         gamma_eff = (lam * params.lambda_1z) ** 2 / (4 * params.mode.gamma_z)
@@ -381,15 +383,6 @@ def plan_coherent_tones(Omega, phi_y) -> ToneSet:
     )
 
 
-def modulation_signal(tones: ToneSet, t):
-    """Drive modulation at time(s) ``t``: ``(sum of x cosines) * (sum of y
-    cosines)``."""
-    t = np.asarray(t, dtype=float)
-    product = (sum(np.cos(w * t + p) for w, p in tones.x_tones)
-               * sum(np.cos(w * t + p) for w, p in tones.y_tones))
-    return product if product.ndim else float(product)
-
-
 # --------------------------------------------------------------------------
 # effective three-qubit model
 # --------------------------------------------------------------------------
@@ -447,7 +440,7 @@ def strong_damping_condition(params: CircuitParams) -> tuple[float, bool]:
     small against the coherent scales.
     """
     ec = effective_coupling_constants(params)
-    value = ec.gamma_eff * ec.eta_over_gamma ** 2
+    value = ec.gamma_eff * (ec.eta_over_gamma * ec.eta_over_gamma)
     return float(value), bool(value < 1e-2)
 
 

@@ -28,7 +28,8 @@ import yaml
 
 from . import __version__, bounds, circuit, control, emergent, liouville
 from .bounds import DEFAULT_MARGIN, check_margin
-from .errors import DegenerateFit, EmdynError, NumericalError, ValidationError
+from .errors import (DegenerateFit, EmdynError, NumericalError, ParseError,
+                     ValidationError)
 from .scenario import VALID_TASKS, Scenario, parse_scenario
 
 __all__ = ["main", "run"]
@@ -50,6 +51,14 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
             + "\n").encode("utf-8")
+
+
+def _leaves(obj, path: str) -> list:
+    """``(path, value)`` of each scalar in nested dicts, lists and tuples."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return [(path, obj)]
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    return [leaf for k, v in items for leaf in _leaves(v, f"{path}.{k}")]
 
 
 def _marginal_purities(rho: np.ndarray, dims) -> tuple[float, float]:
@@ -208,7 +217,8 @@ def run(scenario: Scenario, out_dir, scenario_bytes: bytes,
         seed: int | None = None, margin: float | None = None) -> int:
     """Execute a scenario parsed from ``scenario_bytes`` and write its
     artifacts into ``out_dir``.  All three are rendered before the directory
-    is made, so a task or artifact that fails leaves nothing."""
+    is made, so a task or artifact that fails leaves nothing, and so does a
+    non-finite report or infinite CSV value (:class:`NumericalError`)."""
     if margin is None:
         margin = DEFAULT_MARGIN if scenario.margin is None else scenario.margin
     margin = check_margin(margin)
@@ -217,6 +227,12 @@ def run(scenario: Scenario, out_dir, scenario_bytes: bytes,
     header, rows, report = _RUNNERS[scenario.task](scenario, margin)
     report["name"] = scenario.name
     report["seed"] = seed
+    columns = dict(zip(header, zip(*rows)))   # where nan marks a refused fit
+    for name, obj, ok in (("report.json", report, np.isfinite),
+                          ("results.csv", columns, lambda v: not np.isinf(v))):
+        for path, value in _leaves(obj, name):
+            if isinstance(value, float) and not ok(value):
+                raise NumericalError(f"{path} is {value}")
     artifacts = {"results.csv": _csv_bytes(header, rows),
                  "report.json": _json_bytes(report)}
     artifacts["manifest.json"] = _json_bytes({
@@ -255,7 +271,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         raw = Path(args.scenario).read_bytes()
-        scenario = parse_scenario(raw.decode("utf-8"))
+        try:
+            scenario = parse_scenario(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"scenario is not UTF-8: {exc}") from None
         if scenario.task != args.task:
             raise ValidationError(
                 f"scenario declares task {scenario.task!r} but "

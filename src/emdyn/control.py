@@ -30,7 +30,7 @@ from .liouville import DissipativeCoupling
 from .opcore import check_hermitian
 
 __all__ = [
-    "LieBasis", "lie_closure", "is_fully_controllable",
+    "LieBasis", "lie_closure",
     "dissipation_induced_drift", "controllability_delta",
 ]
 
@@ -121,11 +121,6 @@ def lie_closure(generators) -> LieBasis:
         ratios = [np.linalg.norm(r) / s for r, s in held]
         accept(held.pop(int(np.argmax(ratios)))[0])
     return LieBasis(d, tuple(m.copy() for m in mats[:n]))
-
-
-def is_fully_controllable(basis: LieBasis) -> bool:
-    """True when the algebra has the full dimension ``d**2 - 1``."""
-    return basis.dimension == basis.dim_space ** 2 - 1
 
 
 def dissipation_induced_drift(c: DissipativeCoupling, lambda_a: float) -> np.ndarray:

@@ -227,7 +227,7 @@ def reduced_s2_generator(c: DissipativeCoupling, j: int) -> tuple[float, float]:
     Eigen-index ``j`` addresses the merged ascending spectrum of ``A``; a
     negative one counts from the largest eigenvalue.
     """
-    rate = 0.0 if c.eta == 0 else c.eta ** 2 / c.gamma
+    rate = 0.0 if c.eta == 0 else c.eta * c.eta / c.gamma
     return c.drift(_a_eigenspace(c, j)[0]), rate
 
 

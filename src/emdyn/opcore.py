@@ -27,8 +27,6 @@ from .errors import (BadFactorIndex, DimMismatch, NotDensityMatrix,
 __all__ = [
     "SpectralDecomposition",
     "tensor", "herm_eig", "expm", "partial_trace",
-    "vec", "unvec",
-    "dissipator_superop",
     "trace_distance",
     "is_hermitian", "check_hermitian", "check_density",
     "POSITIVITY_TOL", "DEGENERACY_RTOL",
@@ -242,16 +240,6 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int],
 # row vectorization and superoperators
 # --------------------------------------------------------------------------
 
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Row-vectorize: stack the rows of ``rho`` into one vector (C order)."""
-    return np.asarray(rho, dtype=complex).reshape(-1)
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v, dtype=complex).reshape(dim, dim)
-
-
 def _support(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices where some matrix of the stack ``op`` is
     nonzero."""
@@ -300,15 +288,6 @@ def _superop(h_l: np.ndarray, h_r: np.ndarray, jumps=()) -> np.ndarray:
     left += k_l[..., :, None, :]                    # for k_l X
     right += k_r.swapaxes(-1, -2)[..., None, :, :]  # for X k_r
     return g.reshape(batch + (a * b, a * b))
-
-
-def dissipator_superop(L: np.ndarray) -> np.ndarray:
-    """Superoperator of ``rho -> L rho L† − ½{L†L, rho}`` (row vectorization)."""
-    L = np.asarray(L, dtype=complex)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise DimMismatch(f"jump operator must be square, got {L.shape}")
-    z = np.zeros_like(L)
-    return _superop(z, z, [(L, L, 1.0)])
 
 
 # --------------------------------------------------------------------------

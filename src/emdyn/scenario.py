@@ -18,9 +18,8 @@ from .errors import NotHermitian, ParseError, ValidationError
 from .liouville import DissipativeCoupling
 from .opcore import check_density, is_hermitian, tensor
 
-__all__ = ["Scenario", "VALID_TASKS", "parse_scenario", "load_scenario",
-           "emit_scenario", "parse_operator", "parse_state",
-           "MAX_PAULI_FACTORS"]
+__all__ = ["Scenario", "VALID_TASKS", "parse_scenario", "parse_operator",
+           "parse_state", "MAX_PAULI_FACTORS"]
 
 VALID_TASKS = ("simulate", "equivalence", "controllability", "bounds",
                "circuit-validate", "tones")
@@ -42,43 +41,26 @@ MAX_PAULI_FACTORS = 11
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-class _Dumper(yaml.SafeDumper):
-    """PyYAML writes NEL (U+0085) raw into plain and single-quoted scalars,
-    where loading folds it into a space; strings holding it go double-quoted,
-    where it is escaped."""
-
-
-_Dumper.add_representer(str, lambda dumper, s: dumper.represent_scalar(
-    "tag:yaml.org,2002:str", s, style='"' if "\x85" in s else None))
-
 _SECTIONS = ("system", "coupling", "sweep", "initial", "output", "circuit",
              "tones")
 _TOP_LEVEL_KEYS = {"name", "task", "seed", "margin", *_SECTIONS}
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
     """Parsed and validated scenario document.
 
-    Sections are kept as the raw mapping values so that
-    ``parse_scenario(emit_scenario(s)) == s``.  :func:`parse_scenario` also
-    checks and converts each field of ``system``, ``coupling``, ``sweep``,
-    ``output``, ``circuit`` and ``tones`` once, with its default filled in;
-    :meth:`value`, :meth:`operator` and the builders read those typed values.
-    """
+    :func:`parse_scenario` checks and converts every other section's fields
+    once, defaults filled in, for :meth:`value`, :meth:`operator` and the
+    builders; ``initial`` stays raw until :meth:`initial_state` knows the
+    dimension.  Holding arrays, scenarios compare by identity."""
 
     name: str
     task: str
     seed: int
-    system: dict | None = None
-    coupling: dict | None = None
-    sweep: dict | None = None
-    initial: dict | None = None
-    output: dict | None = None
     margin: float | None = None
-    circuit: dict | None = None
-    tones: dict | None = None
-    _typed: dict = field(default_factory=dict, compare=False, repr=False)
+    initial: dict | None = None
+    _typed: dict = field(default_factory=dict, repr=False)
 
     def value(self, key: str):
         """The typed field ``key`` (``"sweep.t"``, ``"system.controls"``...),
@@ -480,7 +462,7 @@ def parse_scenario(text: str) -> Scenario:
 
     margin = doc.get("margin")
     if margin is not None:
-        check_margin(_number(margin, "margin"))   # kept raw for round trips
+        margin = check_margin(_number(margin, "margin"))
 
     raw = {key: _optional(doc, key, dict) for key in _SECTIONS}
     _known(raw["initial"] or {}, ("rho1", "rho2", "psi0"), "initial")
@@ -494,21 +476,4 @@ def parse_scenario(text: str) -> Scenario:
         if raw[key] is not None:
             typed[key] = reader(raw[key])
     return Scenario(name=name, task=task, seed=seed, margin=margin,
-                    _typed=typed, **raw)
-
-
-def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
-
-
-def emit_scenario(scenario: Scenario) -> str:
-    """Serialize back to canonical YAML; inverse of :func:`parse_scenario`."""
-    doc = {"name": scenario.name, "task": scenario.task,
-           "seed": scenario.seed}
-    for key in (*_SECTIONS, "margin"):
-        val = getattr(scenario, key)
-        if val is not None:
-            doc[key] = val
-    return yaml.dump(doc, Dumper=_Dumper, sort_keys=True,
-                     default_flow_style=False, allow_unicode=True)
+                    initial=raw["initial"], _typed=typed)

@@ -44,6 +44,12 @@ def kron_superop(h_l, h_r, jumps=()):
     return gen
 
 
+def kron_dissipator(L):
+    """:func:`kron_superop` of ``rho -> L rho L† − ½{L†L, rho}``."""
+    z = np.zeros(np.shape(L))
+    return kron_superop(z, z, [(L, L, 1.0)])
+
+
 def rotated_frame_loop(task, substeps=200):
     """Per-substep form of ``bounds.rotated_frame_marginal`` (the loop
     oracle): one ``propagate`` of each midpoint-frozen dissipator, with
@@ -51,7 +57,7 @@ def rotated_frame_loop(task, substeps=200):
     Hamiltonian.  Returns ``(rho2_rotated, V_total)``.
     """
     c = task.coupling
-    lam = opcore.herm_eig(c.A).eigenvalues[task.a_eigenindex]
+    lam = opcore.herm_eig(c.A).eigenvalues[-1]
     rho = np.outer(task.psi0, task.psi0.conj())
     l0 = np.sqrt(c.gamma) * lam * np.eye(c.d2)
     b_scale = np.exp(1j * c.phi) / np.sqrt(c.gamma)
@@ -62,7 +68,7 @@ def rotated_frame_loop(task, substeps=200):
         for n in range(substeps):
             v_mid = (q * np.exp(-1j * tau * (n + 0.5) * w)) @ q.conj().T @ v
             b_rot = v_mid.conj().T @ (c.eta * c.B) @ v_mid
-            gen = opcore.dissipator_superop(l0 - b_scale * b_rot)
+            gen = kron_dissipator(l0 - b_scale * b_rot)
             rho = liouville.propagate(gen, rho, tau)
         v = (q * np.exp(-1j * dur * w)) @ (q.conj().T @ v)
     return rho, v
@@ -78,7 +84,7 @@ def build_full_generator(c, include_coherent=True):
     if c.gamma == 0:
         gen = np.zeros(((c.d1 * c.d2) ** 2,) * 2, dtype=complex)
     else:
-        gen = opcore.dissipator_superop(c.jump_operator())
+        gen = kron_dissipator(c.jump_operator())
     if include_coherent and c.g != 0:
         gen = gen + hamiltonian_superop(c.coherent_hamiltonian())
     return gen
@@ -113,8 +119,8 @@ def expanded_generator(c, include_coherent=True):
     ab = A1 @ B2
     gen = np.zeros((len(A1) ** 2,) * 2, dtype=complex)
     if c.gamma > 0:
-        gen += (c.gamma * opcore.dissipator_superop(A1)
-                + c.eta ** 2 / c.gamma * opcore.dissipator_superop(B2))
+        gen += (c.gamma * kron_dissipator(A1)
+                + c.eta ** 2 / c.gamma * kron_dissipator(B2))
     phase = np.exp(1j * c.phi)
     gen -= c.eta * (phase * left_superop(B2) @ right_superop(A1)
                     + phase.conjugate() * left_superop(A1) @ right_superop(B2))
@@ -147,20 +153,6 @@ def error_upper_bound_absorbed(t, gamma, b_absorbed):
     norm = [np.max(np.abs(np.linalg.eigvalsh(m)))
             for m in (b_absorbed, b_absorbed @ b_absorbed)]
     return float(t / (2.0 * gamma) * (norm[0] ** 2 + norm[1]))
-
-
-def modulation_forms(tones, t):
-    """``circuit.modulation_signal`` (the product form) and the sum form of
-    the drive modulation (the oracle): over every (x, y) tone pair,
-    ``cos((wx+wy)t + px+py)/2 + cos((wx−wy)t + px−py)/2``.  The two agree
-    pointwise by the product-to-sum identity."""
-    t = np.asarray(t, dtype=float)
-    total = np.zeros_like(t)
-    for wx, phx in tones.x_tones:
-        for wy, phy in tones.y_tones:
-            total = total + 0.5 * np.cos((wx + wy) * t + (phx + phy))
-            total = total + 0.5 * np.cos((wx - wy) * t + (phx - phy))
-    return circuit.modulation_signal(tones, t), total
 
 
 def working_point(gamma_z=50.0, n_max=3, lambda_1z=0.25, lambda_23=0.15):

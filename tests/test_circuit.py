@@ -11,7 +11,7 @@ from emdyn.errors import (DimMismatch, DispersiveViolation,
                           NegativeToneFrequency, TruncationTooSmall,
                           ValidationError, ZeroPrimaryCoupling)
 
-from conftest import (dense_expm_oracle, modulation_forms, rand_density,
+from conftest import (dense_expm_oracle, kron_dissipator, rand_density,
                       rand_hermitian, working_point)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -143,22 +143,6 @@ def test_coherent_plan_folds_negative_products():
     assert any("folded" in n for n in ts.notes)
 
 
-def test_modulation_product_equals_sum_form(rng):
-    ts = circuit.plan_dissipative_tones((5.0, 6.0, 4.0), 12.0, 0.4,
-                                        (0.1, 0.7, -0.2))
-    t = rng.uniform(0.0, 20.0, size=500)
-    product, total = modulation_forms(ts, t)
-    assert np.max(np.abs(product - total)) < 1e-12
-    vals = circuit.modulation_signal(ts, t)
-    npt.assert_allclose(vals, product)
-
-
-def test_modulation_at_time_zero():
-    ts = circuit.plan_dissipative_tones((5.0, 6.0, 4.0), 12.0, 0.0,
-                                        (0.0, 0.0, 0.0))
-    assert circuit.modulation_signal(ts, 0.0) == pytest.approx(3.0)
-
-
 def test_adiabatic_eliminate_form():
     L = circuit.adiabatic_eliminate(1.0, 0.5, 0.2, 0.9, 4.0, SZ, SX
                                     ).jump_operator()
@@ -210,7 +194,7 @@ def test_eliminated_coupling_matches_jump_formula(case):
         circuit.SystemBathParams(lam1, lam2, gamma_a, n_max=2), A, B,
         (phi1, phi2))
     dense = circuit.validate_elimination(
-        full, opcore.dissipator_superop(want), rho0, t)
+        full, kron_dissipator(want), rho0, t)
     assert abs(circuit.validate_elimination(full, c, rho0, t) - dense) <= 1e-12
 
 
@@ -316,7 +300,7 @@ def test_validate_elimination_matches_unrotated(rng, ops, n_max):
     _, h, _ = liouville._leading_eigenbasis(full)
     assert h is not full.hamiltonian   # the couplings commute: rotated
     got = circuit.validate_elimination(full, L, rho0, 2.0)
-    gen = opcore.dissipator_superop(L.jump_operator())
+    gen = kron_dissipator(L.jump_operator())
     assert abs(got - _unrotated_distance(full, gen, rho0, 2.0)) <= 1e-10
 
 
@@ -330,7 +314,7 @@ def test_validate_elimination_non_commuting_falls_back(rng):
     w, h, _ = liouville._leading_eigenbasis(full)
     assert h is full.hamiltonian
     npt.assert_array_equal(w, np.eye(10))
-    gen = opcore.dissipator_superop(0.4 * SZ + 0.3 * SX)
+    gen = kron_dissipator(0.4 * SZ + 0.3 * SX)
     rho0 = rand_density(rng, 2)
     got = circuit.validate_elimination(full, gen, rho0, 1.5)
     assert abs(got - _unrotated_distance(full, gen, rho0, 1.5)) <= 1e-10

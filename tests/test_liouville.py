@@ -14,9 +14,9 @@ from emdyn.errors import (BadEigenindex, DimMismatch, NonPhysicalResult,
 
 from conftest import (build_full_generator, cascaded_generator,
                       dense_expm_oracle, expanded_generator,
-                      hamiltonian_superop, kron_superop, left_superop,
-                      rand_density, rand_hermitian, reduced_s1_generator,
-                      working_point)
+                      hamiltonian_superop, kron_dissipator, kron_superop,
+                      left_superop, rand_density, rand_hermitian,
+                      reduced_s1_generator, working_point)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -130,13 +130,13 @@ def test_generator_includes_coherent_term():
 def test_pure_dephasing_rate():
     # gamma D[sz] on one qubit: coherences decay as exp(-2 gamma t)
     gamma, t = 0.8, 0.6
-    gen = gamma * opcore.dissipator_superop(SZ)
+    gen = gamma * kron_dissipator(SZ)
     rho = liouville.propagate(gen, PLUS, t)
     assert abs(rho[0, 1] - 0.5 * np.exp(-2 * gamma * t)) < 1e-12
 
 
 def test_propagate_guards():
-    gen = opcore.dissipator_superop(SZ)
+    gen = kron_dissipator(SZ)
     with pytest.raises(ValidationError):
         liouville.propagate(gen, PLUS, -0.1)
     out = liouville.propagate(gen, PLUS, 0.0)
@@ -538,7 +538,7 @@ def test_checked_states_covers_every_state_of_a_stack():
     negative[1] = np.diag([1.5, -0.5])
     with pytest.raises(NonPhysicalResult):
         liouville._checked_states(good, negative)
-    gen = opcore.dissipator_superop(SX - 1j * P0)
+    gen = kron_dissipator(SX - 1j * P0)
     liouville.propagate(gen, P0, 1.0)
     with pytest.raises(ValidationError, match="preserve Hermiticity"):
         liouville.propagate(gen + left_superop(SX), P0, 1.0)
@@ -547,7 +547,7 @@ def test_checked_states_covers_every_state_of_a_stack():
 def test_block_route_skips_unoccupied_blocks():
     # dephasing keeps |0><0|, |1><1| and the coherences apart: only the
     # occupied block moves
-    gen = opcore.dissipator_superop(SZ) + hamiltonian_superop(SZ)
+    gen = kron_dissipator(SZ) + hamiltonian_superop(SZ)
     npt.assert_array_equal(liouville.propagate(gen, P0, 3.0), P0)
     assert n_real_blocks(gen) == 3
 
@@ -555,7 +555,7 @@ def test_block_route_skips_unoccupied_blocks():
 def test_block_route_follows_one_way_decay():
     # |1><1| feeds |0><0| but not back: one block, not two
     sm = np.array([[0, 1], [0, 0]], dtype=complex)
-    gen = opcore.dissipator_superop(sm)
+    gen = kron_dissipator(sm)
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     want = np.diag([1 - np.exp(-2.0), np.exp(-2.0)])
     npt.assert_allclose(liouville.propagate(gen, rho0, 2.0), want, atol=1e-14)
@@ -563,7 +563,7 @@ def test_block_route_follows_one_way_decay():
 
 @pytest.mark.parametrize("t", [0.0, 1.0])
 def test_propagate_rejects_bad_initial_state(t):
-    gen = opcore.dissipator_superop(SZ)
+    gen = kron_dissipator(SZ)
     with pytest.raises(NotHermitian):
         liouville.propagate(gen, np.array([[0, 1], [0, 0]], dtype=complex), t)
     with pytest.raises(NotDensityMatrix):
@@ -733,5 +733,5 @@ def test_master_equation_generator(rng):
     h = rand_hermitian(rng, 2)
     L = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     me = liouville.MasterEquation(h, ((L, 3.0),), (2,))
-    want = hamiltonian_superop(h) + 3.0 * opcore.dissipator_superop(L)
+    want = hamiltonian_superop(h) + 3.0 * kron_dissipator(L)
     npt.assert_allclose(me.generator(), want, atol=1e-13)

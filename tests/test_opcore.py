@@ -13,8 +13,9 @@ from emdyn import liouville, opcore
 from emdyn.errors import (BadFactorIndex, DimMismatch, NotDensityMatrix,
                           NotHermitian)
 
-from conftest import (hamiltonian_superop, kron_superop, left_superop,
-                      rand_density, rand_hermitian, right_superop)
+from conftest import (hamiltonian_superop, kron_dissipator, kron_superop,
+                      left_superop, rand_density, rand_hermitian,
+                      right_superop)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -188,26 +189,21 @@ def test_tensor_matches_kron_chain():
     npt.assert_array_equal(t, np.kron(np.kron(SX, SZ), I2))
 
 
-def test_vec_unvec_roundtrip(rng):
-    rho = rand_density(rng, 3)
-    npt.assert_array_equal(opcore.unvec(opcore.vec(rho), 3), rho)
-
-
 def test_superop_factor_identities(rng):
     # vec(A rho B) = left(A) right(B) vec(rho)
     for _ in range(10):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho = rand_density(rng, 3)
-        lhs = opcore.unvec(
-            left_superop(a) @ right_superop(b) @ opcore.vec(rho), 3)
+        lhs = (left_superop(a) @ right_superop(b) @ rho.reshape(-1)
+               ).reshape(3, 3)
         npt.assert_allclose(lhs, a @ rho @ b, atol=1e-13)
 
 
 def test_hamiltonian_superop_is_commutator(rng):
     h = rand_hermitian(rng, 4)
     rho = rand_density(rng, 4)
-    got = opcore.unvec(hamiltonian_superop(h) @ opcore.vec(rho), 4)
+    got = (hamiltonian_superop(h) @ rho.reshape(-1)).reshape(4, 4)
     npt.assert_allclose(got, -1j * (h @ rho - rho @ h), atol=1e-13)
 
 
@@ -217,7 +213,7 @@ def test_dissipator_superop_direct_form(rng):
     for _ in range(10):
         L = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho = rand_density(rng, 3)
-        got = opcore.unvec(opcore.dissipator_superop(L) @ opcore.vec(rho), 3)
+        got = (kron_dissipator(L) @ rho.reshape(-1)).reshape(3, 3)
         ldl = L.conj().T @ L
         want = L @ rho @ L.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
         npt.assert_allclose(got, want, atol=1e-12)
@@ -287,10 +283,6 @@ def test_superop_builders_match_kron_oracle(rng, d):
     h, L1, L2 = rand_hermitian(rng, d), rand_op(rng, d), rand_op(rng, d)
     npt.assert_allclose(hamiltonian_superop(h), kron_superop(h, h),
                         rtol=0, atol=1e-13)
-    z = np.zeros((d, d))
-    npt.assert_allclose(opcore.dissipator_superop(L1),
-                        kron_superop(z, z, [(L1, L1, 1.0)]),
-                        rtol=0, atol=1e-13)
     me = liouville.MasterEquation(h, ((L1, 0.7), (L2, 0.0)),
                                   (d,))
     npt.assert_allclose(me.generator(),
@@ -300,9 +292,10 @@ def test_superop_builders_match_kron_oracle(rng, d):
 
 def test_dissipator_annihilates_trace(rng):
     L = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    gen = opcore.dissipator_superop(L)
+    gen = liouville.MasterEquation(np.zeros((4, 4)), ((L, 1.0),),
+                                   (4,)).generator()
     rho = rand_density(rng, 4)
-    drho = opcore.unvec(gen @ opcore.vec(rho), 4)
+    drho = (gen @ rho.reshape(-1)).reshape(4, 4)
     assert abs(np.trace(drho)) < 1e-12
 
 
@@ -373,7 +366,8 @@ def test_partial_trace_dim_mismatch():
     (lambda: opcore.check_hermitian(np.ones((2, 3))), DimMismatch),
     (lambda: opcore.check_density(np.ones(4) / 4), NotDensityMatrix),
     (lambda: opcore.expm(np.ones((2, 3))), DimMismatch),
-    (lambda: opcore.dissipator_superop(np.ones((2, 3))), DimMismatch),
+    (lambda: liouville.MasterEquation(I2, ((np.ones((2, 3)), 1.0),), (2,)),
+     DimMismatch),
     (lambda: opcore.partial_trace(I2 / 2, (2,), []), BadFactorIndex),
     (lambda: opcore.trace_distance(I2 / 2, np.eye(3) / 3), DimMismatch)],
     ids=["tensor", "check_hermitian", "check_density", "expm",

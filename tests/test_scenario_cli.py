@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import emdyn
 from emdyn import cli, circuit, opcore, scenario
 from emdyn.errors import NotHermitian, ParseError, ValidationError
-from emdyn.scenario import (MAX_PAULI_FACTORS, VALID_TASKS, emit_scenario,
-                            parse_operator, parse_scenario, parse_state)
+from emdyn.scenario import (MAX_PAULI_FACTORS, VALID_TASKS, parse_operator,
+                            parse_scenario, parse_state)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -45,23 +45,19 @@ def test_parse_minimal_scenario():
     assert c.gamma == 10.0 and c.eta == 1.0
 
 
-def test_round_trip_equality():
-    s = parse_scenario(MINIMAL)
-    assert parse_scenario(emit_scenario(s)) == s
-
-
-def test_round_trip_all_sample_scenarios():
-    for path in sorted(SCENARIO_DIR.glob("*.yaml")):
-        s = parse_scenario(path.read_text())
-        assert parse_scenario(emit_scenario(s)) == s, path.name
-
-
 @pytest.mark.parametrize("name", sorted(
     p.name for p in SCENARIO_DIR.glob("*.yaml")))
-def test_load_scenario_reads_the_file(name):
+def test_load_scenario_reads_the_file(tmp_path, name):
+    """The CLI loads a scenario as ``parse_scenario`` of the file's UTF-8
+    text and hashes the file's bytes."""
     path = SCENARIO_DIR / name
-    assert (scenario.load_scenario(path)
-            == parse_scenario(path.read_text(encoding="utf-8")))
+    s = parse_scenario(path.read_text(encoding="utf-8"))
+    assert run_cli(s.task, "--scenario", str(path),
+                   "--out", str(tmp_path / "cli")) == 0
+    cli.run(s, tmp_path / "lib", path.read_bytes())
+    for artifact in ("results.csv", "report.json", "manifest.json"):
+        assert ((tmp_path / "cli" / artifact).read_bytes()
+                == (tmp_path / "lib" / artifact).read_bytes())
 
 
 @st.composite
@@ -119,10 +115,16 @@ def test_libyaml_and_python_loaders_agree(doc, flow):
 @example({"name": "a\x85b", "task": "simulate", "seed": 0})
 def test_round_trip_generated_scenarios(doc):
     # without allow_unicode every non-ASCII character is escaped, so the
-    # parsed scenario holds exactly the generated strings
+    # parsed scenario holds exactly the generated strings and numbers
     s = parse_scenario(yaml.safe_dump(doc))
-    assert s.name == doc["name"]
-    assert parse_scenario(emit_scenario(s)) == s
+    assert (s.name, s.task, s.seed) == (doc["name"], doc["task"], doc["seed"])
+    assert (s.margin, s.initial) == (doc.get("margin"), doc.get("initial"))
+    assert s.value("output.path") == doc.get("output", {}).get("path",
+                                                                "emdyn-out")
+    assert s.value("sweep.t") == tuple(doc.get("sweep", {}).get("t", [1.0]))
+    if "coupling" in doc:
+        assert s.value("coupling") == {"eta": 0.0, "phi": 0.0, "g": 0.0,
+                                       **doc["coupling"]}
 
 
 def test_misspelled_task_names_valid_tasks():
@@ -592,8 +594,12 @@ def test_cli_overflowing_evolution_exits_3(tmp_path, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("old, new, code, message", [
     ("lambda_1z: 0.25", "lambda_1z: 0.0", 2, "lambda_1z must be nonzero"),
-    ("E_J: 282.842712474619", "E_J: 1.0e+300", 3, "is not finite")],
-    ids=["lambda_1z-zero", "E_J-overflow"])
+    ("E_J: 282.842712474619", "E_J: 1.0e+300", 3, "is not finite"),
+    ("phi_z0: 1.0", "phi_z0: 1.0e+200", 3, "Lambda=inf"),
+    ("lambda_2z: 0.15", "lambda_2z: 1.0e+200", 3,
+     "report.json.strong_damping_value is inf")],
+    ids=["lambda_1z-zero", "E_J-overflow", "phi_z0-overflow",
+         "lambda_2z-overflow"])
 def test_cli_circuit_validate_bad_constants(tmp_path, capsys, old, new, code,
                                             message):
     """Parseable circuits whose coupling constants cannot be formed exit 2
@@ -604,6 +610,40 @@ def test_cli_circuit_validate_bad_constants(tmp_path, capsys, old, new, code,
                  "--out", str(tmp_path / "out"))
     assert rc == code
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, old, new, key", [
+    (BOUNDS.replace("gamma: 20.0", "gamma: 1.0e+300"), "eta: 1.0",
+     "eta: 1.0e+200", "report.json.max_upper_bound is inf"),
+    (BOUNDS.replace("phi: 1.5707963267948966", "phi: 0.0"), "B: sz",
+     "B: 1.0e+200*sx + sz", "report.json.max_upper_bound is nan"),
+    (BOUNDS, "gamma: 20.0", "gamma: 5.0e-324",
+     "report.json.max_upper_bound is inf"),
+    (TONES.replace("phi_y: [0.0, 0.0, 0.0]", "phi_y: [1.7e+308, 0.0, 0.0]"),
+     "phi_x1: 0.0", "phi_x1: 1.7e+308", "report.json.phase_sum.0 is inf")],
+    ids=["bounds-eta", "bounds-B", "bounds-gamma", "tones-phases"])
+def test_cli_overflowing_closed_form_exits_3(tmp_path, capsys, text, old, new,
+                                             key):
+    """A closed form that overflows gives ``inf`` or ``nan``, not an
+    ``OverflowError``, and a run that would report one exits 3 naming it."""
+    assert old in text
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace(old, new))
+    task = parse_scenario(bad.read_text()).task
+    rc = run_cli(task, "--scenario", str(bad), "--out", str(tmp_path / "out"))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_non_utf8_scenario_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"# \xff\n" + TONES.encode("utf-8"))
+    rc = run_cli("tones", "--scenario", str(bad), "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert "not UTF-8" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
