@@ -42,7 +42,6 @@ _WEAK_RTOL = 1e-3
 class LieBasis:
     """Orthonormal basis of a dynamical Lie algebra on a d-dimensional space."""
 
-    dim_space: int
     elements: tuple[np.ndarray, ...]
 
     @property
@@ -120,7 +119,7 @@ def lie_closure(generators) -> LieBasis:
             break
         ratios = [np.linalg.norm(r) / s for r, s in held]
         accept(held.pop(int(np.argmax(ratios)))[0])
-    return LieBasis(d, tuple(m.copy() for m in mats[:n]))
+    return LieBasis(tuple(m.copy() for m in mats[:n]))
 
 
 def dissipation_induced_drift(c: DissipativeCoupling, lambda_a: float) -> np.ndarray:

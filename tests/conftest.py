@@ -244,24 +244,29 @@ def mgs_lie_closure(gens, rtol=1e-8):
 def svd_rank_closure(gens, rtol=1e-9):
     """Dimension of the real Lie algebra generated by ``i * gens`` by SVD rank.
 
-    Each round stacks the real views of the current span and of all pairwise
-    commutators of its orthonormal basis, and keeps the singular directions
-    above ``rtol`` times the largest singular value (in the first round, the
-    largest generator norm if that is larger, so a generator that is the
-    identity up to round-off adds nothing).  Rounds repeat until the rank is
-    stable.  Independent of ``lie_closure``'s order and rank rule.
+    Each round stacks the real views of the current elements and of all
+    pairwise commutators of them, and keeps as many as there are singular
+    values above ``rtol`` times the largest (in the first round, the largest
+    generator norm if that is larger, so a generator that is the identity up
+    to round-off adds nothing).  The kept elements are the stack's own rows
+    that column-pivoted QR picks first, each scaled to unit norm, not its
+    singular vectors: a weak singular direction (3e-7 in the first pinned
+    example of ``test_closure_dimension_matches_svd_oracle``) carries
+    round-off near 1e-8, above the rank rule, and its commutators would grow
+    the span past u(d).  Rounds repeat until the rank is stable.
+    Independent of ``lie_closure``'s order and rank rule.
     """
-    d = len(gens[0])
     mats = [_skew_traceless(g) for g in gens]
     floor = max(np.linalg.norm(g) for g in gens)
     rank = -1
     while True:
         stack = np.array([m.reshape(-1).view(float) for m in mats])
-        _, s, vt = np.linalg.svd(stack, full_matrices=False)
+        s = np.linalg.svd(stack, compute_uv=False)
         keep = int(np.sum(s > rtol * max(s[0], floor)))
         if keep in (rank, 0):
             return keep
         rank, floor = keep, 0.0
-        basis = [v.copy().view(complex).reshape(d, d) for v in vt[:keep]]
+        rows = scipy.linalg.qr(stack.T, mode="r", pivoting=True)[1][:keep]
+        basis = [mats[i] / np.linalg.norm(mats[i]) for i in rows]
         mats = basis + [a @ b - b @ a for k, a in enumerate(basis)
                         for b in basis[:k]]

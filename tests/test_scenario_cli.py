@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -60,11 +61,26 @@ def test_load_scenario_reads_the_file(tmp_path, name):
                 == (tmp_path / "lib" / artifact).read_bytes())
 
 
+EXTREME_FLOATS = [5e-324, 1e-300, 1e200, 1.7e308, -1e300]
+
+
 @st.composite
-def scenario_docs(draw):
-    """A valid scenario document as a mapping: every top-level section is
-    optional, names are free text, numbers span several decades."""
-    finite = st.floats(-1e6, 1e6)
+def scenario_docs(draw, extreme=False):
+    """A scenario document as a mapping: every top-level section is
+    optional, names are free text, numbers span several decades.  It parses
+    unless ``extreme``, which lets any number also be one of
+    ``EXTREME_FLOATS`` of its range's sign, so that the document may fail
+    validation or overflow, and always draws the sections the tasks read
+    (``system``, ``coupling``, ``circuit`` and ``tones``)."""
+    def floats(lo, hi):
+        if not extreme:
+            return st.floats(lo, hi)
+        return st.floats(lo, hi) | st.sampled_from(
+            [x for x in EXTREME_FLOATS if lo < 0 or x > 0])
+
+    finite = floats(-1e6, 1e6)
+    positive = floats(1e-3, 1e6)
+    frequencies = st.lists(positive, min_size=3, max_size=3)
     pauli = st.sampled_from(["sx", "sy", "sz", "id"])
     qubit_ops = st.one_of(
         st.builds(lambda c, p, q: f"{c}*{p} - {q}", finite, pauli, pauli),
@@ -79,12 +95,12 @@ def scenario_docs(draw):
             optional={"controls": st.lists(qubit_ops, max_size=2),
                       "lambda_a": finite}),
         "coupling": st.fixed_dictionaries(
-            {"gamma": st.floats(1e-3, 1e6)},
-            optional={"eta": st.floats(0.0, 1e6),
-                      "phi": st.floats(-np.pi, np.pi), "g": finite}),
+            {"gamma": positive},
+            optional={"eta": floats(0.0, 1e6),
+                      "phi": floats(-np.pi, np.pi), "g": finite}),
         "sweep": st.fixed_dictionaries(
-            {"t": st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3)},
-            optional={"gamma": st.lists(st.floats(1e-3, 1e6), min_size=1,
+            {"t": st.lists(floats(0.0, 1e3), min_size=1, max_size=3)},
+            optional={"gamma": st.lists(positive, min_size=1,
                                         max_size=3)}),
         "initial": st.dictionaries(
             st.sampled_from(["rho1", "rho2", "psi0"]),
@@ -93,9 +109,24 @@ def scenario_docs(draw):
         "output": st.fixed_dictionaries({"path": st.text(st.characters(
             exclude_categories=("Cs",), exclude_characters="\0"),
             max_size=20)}),
-        "margin": st.floats(1e-3, 1e6)}
+        "circuit": st.fixed_dictionaries(
+            {"E_J": finite, "phi_ext": finite, "lambda_1z": finite,
+             "lambda_2z": finite, "lambda_3z": finite, "Omega": frequencies,
+             "mode": st.fixed_dictionaries({"n_max": st.integers(-1, 4),
+                                            "omega_z": positive,
+                                            "gamma_z": positive})},
+            optional={"phi0": positive, "phi_z0": finite, "alpha_x": finite,
+                      "alpha_y": finite, "phi": finite}),
+        "tones": st.fixed_dictionaries(
+            {"Omega": frequencies, "omega_z": positive},
+            optional={"plan": st.sampled_from(["dissipative", "coherent"]),
+                      "phi_y": st.lists(finite, min_size=3, max_size=3),
+                      "phi_x1": finite,
+                      "collisions": st.lists(finite, max_size=3)}),
+        "margin": positive}
     for key, section in sections.items():
-        if draw(st.booleans()):
+        if (extreme and key in ("system", "coupling", "circuit", "tones")
+                or draw(st.booleans())):
             doc[key] = draw(section)
     return doc
 
@@ -436,6 +467,28 @@ def test_cli_simulate(tmp_path):
     lines = (tmp_path / "results.csv").read_text().splitlines()
     assert lines[0] == "t,purity,s1_purity,s2_purity"
     assert len(lines) == 5
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+@settings(max_examples=10, deadline=None)
+@given(doc=scenario_docs(extreme=True))
+@pytest.mark.parametrize("task", VALID_TASKS)
+def test_cli_exit_code_on_generated_scenarios(task, doc):
+    """Every generated scenario exits 0, 2 or 3 without an exception, leaves
+    an output directory only on exit 0, and writes a strict-JSON report."""
+    doc["task"] = task
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.yaml", Path(tmp) / "out"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        rc = run_cli(task, "--scenario", str(path), "--out", str(out))
+        assert rc in (0, 2, 3)
+        assert out.exists() == (rc == 0)
+        if rc == 0:
+            json.loads((out / "report.json").read_text(encoding="utf-8"),
+                       parse_constant=_reject_constant)
 
 
 def test_cli_task_mismatch_exits_2(tmp_path):
